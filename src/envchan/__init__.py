@@ -47,7 +47,6 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     partial_trace,
-    tensor,
 )
 from .realizability import (
     LIKELY_NOT_REALIZABLE,
@@ -73,7 +72,7 @@ from .states import (
     validate_density_matrix,
     validate_pure_state,
 )
-from .tolerances import MAX_TENSOR_DIM, TOLS, Tolerances
+from .tolerances import TOLS, Tolerances
 
 __version__ = "0.1.0"
 
@@ -86,7 +85,6 @@ __all__ = [
     "INCONCLUSIVE",
     "KrausSet",
     "LIKELY_NOT_REALIZABLE",
-    "MAX_TENSOR_DIM",
     "NOT_REALIZABLE",
     "NUMERICAL_EVIDENCE_NOTE",
     "NonRealizabilityCertificate",
@@ -131,7 +129,6 @@ __all__ = [
     "realization_residual",
     "search_mixed_env_realization",
     "stinespring_from_kraus",
-    "tensor",
     "validate_density_matrix",
     "validate_pure_state",
 ]

@@ -138,23 +138,14 @@ class Channel:
     kraus: KrausSet
 
     @classmethod
-    def from_kraus(cls, operators, atol: float = TOLS.trace_preserving) -> "Channel":
+    def from_kraus(cls, operators) -> "Channel":
         if isinstance(operators, KrausSet):
             return cls(operators)
-        return cls(KrausSet(tuple(operators), atol=atol))
+        return cls(KrausSet(tuple(operators)))
 
     @classmethod
-    def from_choi(cls, choi, d_in: int | None = None, d_out: int | None = None,
-                  **choi_kwargs) -> "Channel":
-        """Build a channel (with minimal Kraus set) from a Choi matrix.
-
-        ``choi`` may be a :class:`ChoiMatrix` or a raw matrix together with
-        ``d_in``/``d_out``.
-        """
-        if not isinstance(choi, ChoiMatrix):
-            if d_in is None or d_out is None:
-                raise ValueError("d_in and d_out are required for a raw matrix")
-            choi = ChoiMatrix(d_in, d_out, choi, **choi_kwargs)
+    def from_choi(cls, choi: ChoiMatrix) -> "Channel":
+        """Build a channel (with minimal Kraus set) from a Choi matrix."""
         return cls(choi_to_kraus(choi))
 
     @property
@@ -191,7 +182,11 @@ def apply(ch: Channel, rho) -> np.ndarray:
 
 
 def apply_from_choi(choi: ChoiMatrix, rho) -> np.ndarray:
-    """Apply a channel through its Choi matrix: Φ(ρ) = tr_in[(ρᵀ ⊗ I) C]."""
+    """Apply a channel through its Choi matrix: Φ(ρ) = tr_in[(ρᵀ ⊗ I) C].
+
+    Nothing in the package calls this; it is kept on purpose as a reference
+    independent of the Kraus path, against which :func:`apply` is tested.
+    """
     rho = as_complex_matrix(rho)
     if rho.shape != (choi.d_in, choi.d_in):
         raise ValueError("shape mismatch")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from time import perf_counter
 
 import numpy as np
@@ -57,6 +58,19 @@ def _emit(data: dict, out: str | None) -> None:
         sys.stdout.write("\n")
 
 
+def _jsonable(value):
+    """Encode a result for a report: dataclasses become dicts in field
+    order, tuples become lists, real arrays nested lists, and complex
+    arrays nested [re, im] pairs."""
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return io.matrix_to_pairs(value) if np.iscomplexobj(value) else value.tolist()
+    return value
+
+
 def _report(command: str, argv_echo: list, seed, results: dict, started: float) -> dict:
     return {
         "format_version": io.FORMAT_VERSION,
@@ -85,6 +99,8 @@ def _counterexample_params(args) -> CounterexampleParams:
     """
     if args.d is None or args.d_fin is None:
         raise ValueError("--d and --d-fin are required")
+    if args.d < 2 or args.d_fin < 2:
+        raise ValueError("dimensions must be at least 2")
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise ValueError("--alpha and --beta must be given together")
@@ -131,21 +147,6 @@ def _load_channel(path: str) -> Channel:
     return io.channel_from_dict(io.load_json(path))
 
 
-def _certificate_results(cert, membership: dict | None) -> dict:
-    results = {
-        "claim": cert.claim,
-        "rank_tested": cert.rank_tested,
-        "vectors_required": cert.vectors_required,
-        "dimension_available": cert.dimension_available,
-        "decoherence_contradiction": cert.decoherence_contradiction,
-        "d2_branch_used": cert.d2_branch_used,
-        "narrative": list(cert.narrative),
-    }
-    if membership is not None:
-        results["membership"] = membership
-    return results
-
-
 def cmd_build(args, argv_echo) -> int:
     if args.kind == "counterexample":
         channel = build_counterexample(_counterexample_params(args))
@@ -178,13 +179,15 @@ def cmd_certify(args, argv_echo) -> int:
             return 3
         membership = {
             "choi_distance": match.choi_distance,
-            "canonical_rho_target": io.matrix_to_pairs(match.params.rho_target),
+            "canonical_rho_target": _jsonable(match.params.rho_target),
         }
         params = match.params
     else:
         params = _counterexample_params(args)
     cert = certify_nonrealizable(params)
-    results = _certificate_results(cert, membership)
+    results = _jsonable(cert)
+    if membership is not None:
+        results["membership"] = membership
     _emit(_report("certify", argv_echo, None, results, started), args.out)
     return 0 if cert.claim == NOT_REALIZABLE else 3
 
@@ -195,11 +198,7 @@ def cmd_search(args, argv_echo) -> int:
     config = _search_config(args)
     result = search_mixed_env_realization(channel, config)
     results = {
-        "verdict": result.verdict,
-        "best_residual": result.best_residual,
-        "residual_history": list(result.residual_history),
-        "best_env_spectrum": [float(p) for p in result.best_env_spectrum],
-        "best_unitary": io.matrix_to_pairs(result.best_unitary),
+        **_jsonable(result),
         "realizable_threshold": config.realizable_threshold,
         "nonrealizable_threshold": config.nonrealizable_threshold,
         "note": NUMERICAL_EVIDENCE_NOTE,
@@ -236,19 +235,7 @@ def cmd_perturb(args, argv_echo) -> int:
     channel = _load_channel(args.channel)
     config = _search_config(args)
     report = perturbation_experiment(channel, args.radius, args.samples, config)
-    results = {
-        "radius": report.radius,
-        "n_samples": report.n_samples,
-        "fraction_likely_not_realizable": report.fraction_likely_not_realizable,
-        "verdicts": list(report.verdicts),
-        "best_residuals": list(report.best_residuals),
-        "residual_min": report.residual_min,
-        "residual_max": report.residual_max,
-        "residual_mean": report.residual_mean,
-        "residual_median": report.residual_median,
-        "note": report.note,
-    }
-    _emit(_report("perturb", argv_echo, config.seed, results, started), args.out)
+    _emit(_report("perturb", argv_echo, config.seed, _jsonable(report), started), args.out)
     return 0
 
 

@@ -72,27 +72,32 @@ class CounterexampleParams:
         return float(self.rho_target[0, 0].real)
 
 
-def build_counterexample(p: CounterexampleParams) -> Channel:
-    """Construct the family member as a Kraus channel.
+def _family_channel(d: int, d_fin: int, phi: np.ndarray, rho: np.ndarray) -> Channel:
+    """The family member with common pure image |φ⟩⟨φ| and mixed image ρ.
 
-    Kraus operators: |0'⟩⟨i| for each collapsing basis state i < d−1, plus
-    √λ_k |e_k⟩⟨d−1| for each spectral component ρ' = Σ λ_k |e_k⟩⟨e_k|. The
-    set is minimal (the vectorized operators are mutually orthogonal) and
-    reproduces the family action formula exactly.
+    Kraus operators: |φ⟩⟨i| for each collapsing basis state i < d−1, plus
+    √λ_k |e_k⟩⟨d−1| for each spectral component ρ = Σ λ_k |e_k⟩⟨e_k| above
+    the spectral cutoff. The set is minimal (the vectorized operators are
+    mutually orthogonal) and reproduces the family action formula exactly.
     """
     ops = []
-    for i in range(p.d - 1):
-        op = np.zeros((p.d_fin, p.d), dtype=complex)
-        op[0, i] = 1.0
+    for i in range(d - 1):
+        op = np.zeros((d_fin, d), dtype=complex)
+        op[:, i] = phi
         ops.append(op)
-    lam, vecs = eig_hermitian(p.rho_target)
-    for k in range(p.d_fin):
-        if lam[k] <= TOLS.env_spectrum_cutoff:
+    lam, vecs = eig_hermitian(rho)
+    for weight, vec in zip(lam, vecs.T):
+        if weight <= TOLS.env_spectrum_cutoff:
             continue
-        op = np.zeros((p.d_fin, p.d), dtype=complex)
-        op[:, p.d - 1] = np.sqrt(lam[k]) * vecs[:, k]
+        op = np.zeros((d_fin, d), dtype=complex)
+        op[:, d - 1] = np.sqrt(weight) * vec
         ops.append(op)
     return Channel.from_kraus(ops)
+
+
+def build_counterexample(p: CounterexampleParams) -> Channel:
+    """Construct the family member as a Kraus channel, with pure image |0'⟩."""
+    return _family_channel(p.d, p.d_fin, basis_state(p.d_fin, 0), p.rho_target)
 
 
 def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> Dilation:
@@ -289,19 +294,7 @@ def match_family(channel: Channel, atol: float = TOLS.family_match) -> FamilyMat
 
     # Rebuild the family member around (phi, rho_mixed) in the original basis
     # and require global agreement, which checks total decoherence too.
-    ops = []
-    for i in range(d - 1):
-        op = np.zeros((d_fin, d), dtype=complex)
-        op[:, i] = phi
-        ops.append(op)
-    mu, evecs = eig_hermitian(rho_mixed)
-    for k in range(d_fin):
-        if mu[k] <= TOLS.env_spectrum_cutoff:
-            continue
-        op = np.zeros((d_fin, d), dtype=complex)
-        op[:, d - 1] = np.sqrt(mu[k]) * evecs[:, k]
-        ops.append(op)
-    candidate = Channel.from_kraus(ops)
+    candidate = _family_channel(d, d_fin, phi, rho_mixed)
     dist = distance(channel, candidate)
     if dist > atol:
         return None

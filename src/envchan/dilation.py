@@ -13,7 +13,7 @@ and is treated as a one-dimensional trivial factor internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,6 +90,21 @@ def _kraus_vectors(d: Dilation, env_vector: np.ndarray) -> np.ndarray:
     return np.transpose(t, (0, 2, 3, 1)).reshape(d.d_in * env_eff, d.d_in * d.d_fin)
 
 
+def _env_components(d: Dilation):
+    """Yield (weight, eigenvector, component Choi) for each eigenvalue of
+    ``env_state`` above the spectral cutoff, by decreasing weight.
+
+    The component Choi matrix is that of the dilation run on the pure
+    environment eigenvector.
+    """
+    weights, vectors = eig_hermitian(d.env_state)
+    for p, vec in zip(weights, vectors.T):
+        if p <= TOLS.env_spectrum_cutoff:
+            continue
+        rows = _kraus_vectors(d, vec)
+        yield p, vec, np.einsum("kv,kw->vw", rows, rows.conj())
+
+
 def channel_from_dilation(d: Dilation) -> Channel:
     """The channel ρ ↦ tr_{initial, env}[ U (ρ ⊗ env_state) U† ].
 
@@ -97,14 +112,10 @@ def channel_from_dilation(d: Dilation) -> Channel:
     spectral cutoff contributes its family of Kraus operators with weight
     √p. The result carries the minimal Kraus set of the induced Choi matrix.
     """
-    weights, vectors = eig_hermitian(d.env_state)
     side = d.d_in * d.d_fin
     choi = np.zeros((side, side), dtype=complex)
-    for p, vec in zip(weights, vectors.T):
-        if p <= TOLS.env_spectrum_cutoff:
-            continue
-        rows = _kraus_vectors(d, vec)
-        choi += p * np.einsum("kv,kw->vw", rows, rows.conj())
+    for p, _, component in _env_components(d):
+        choi += p * component
     return Channel.from_choi(ChoiMatrix(d.d_in, d.d_fin, choi))
 
 
@@ -148,13 +159,11 @@ def decompose_mixed_env(d: Dilation) -> list[SpectralComponent]:
     The weighted mixture of the component channels equals the channel of the
     full dilation; components are ordered by decreasing weight.
     """
-    weights, vectors = eig_hermitian(d.env_state)
-    components = []
-    for p, vec in zip(weights, vectors.T):
-        if p <= TOLS.env_spectrum_cutoff:
-            continue
-        pure = replace(d, env_state=projector(vec))
-        components.append(
-            SpectralComponent(weight=float(p), env_basis_state=vec, channel=channel_from_dilation(pure))
+    return [
+        SpectralComponent(
+            weight=float(p),
+            env_basis_state=vec,
+            channel=Channel.from_choi(ChoiMatrix(d.d_in, d.d_fin, component)),
         )
-    return components
+        for p, vec, component in _env_components(d)
+    ]

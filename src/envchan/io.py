@@ -64,6 +64,18 @@ def _check_version(data: dict) -> None:
         raise ValueError("unsupported format version")
 
 
+def _dimension(data: dict, key: str) -> int:
+    """An integer dimension field; booleans, an int subclass, are rejected.
+
+    Raises:
+        ValueError: "malformed file" if the field is missing or not an int.
+    """
+    value = data.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("malformed file")
+    return value
+
+
 def channel_to_dict(ch: Channel) -> dict:
     """ChannelFile payload: the Kraus representation."""
     return {
@@ -96,9 +108,7 @@ def channel_from_dict(data: dict) -> Channel:
             representation constructors.
     """
     _check_version(data)
-    d_in, d_out = data.get("d_in"), data.get("d_out")
-    if not isinstance(d_in, int) or not isinstance(d_out, int):
-        raise ValueError("malformed file")
+    d_in, d_out = _dimension(data, "d_in"), _dimension(data, "d_out")
     if "kraus" in data:
         ops = data["kraus"]
         if not isinstance(ops, list) or not ops:
@@ -130,8 +140,8 @@ def state_to_dict(rho) -> dict:
 def state_from_dict(data: dict) -> np.ndarray:
     _check_version(data)
     matrix = matrix_from_pairs(data.get("matrix"))
-    dim = data.get("dim")
-    if not isinstance(dim, int) or matrix.shape != (dim, dim):
+    dim = _dimension(data, "dim")
+    if matrix.shape != (dim, dim):
         raise ValueError("shape mismatch")
     return validate_density_matrix(
         matrix,
@@ -155,13 +165,10 @@ def dilation_to_dict(d: Dilation) -> dict:
 
 def dilation_from_dict(data: dict) -> Dilation:
     _check_version(data)
-    dims = [data.get(key) for key in ("d_in", "d_fin", "d_env")]
-    if not all(isinstance(x, int) for x in dims):
-        raise ValueError("malformed file")
     return Dilation(
-        d_in=dims[0],
-        d_fin=dims[1],
-        d_env=dims[2],
+        d_in=_dimension(data, "d_in"),
+        d_fin=_dimension(data, "d_fin"),
+        d_env=_dimension(data, "d_env"),
         unitary=matrix_from_pairs(data.get("unitary")),
         env_state=matrix_from_pairs(data.get("env_state")),
     )

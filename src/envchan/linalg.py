@@ -1,5 +1,5 @@
-"""Dense complex linear algebra helpers: tensor products, partial traces,
-deterministic Hermitian eigendecompositions, and unitary completion.
+"""Dense complex linear algebra helpers: partial traces, deterministic
+Hermitian eigendecompositions, and unitary completion.
 
 All functions take and return plain numpy arrays. Composite subsystems are
 ordered [initial, final, environment] throughout the package.
@@ -12,7 +12,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .tolerances import MAX_TENSOR_DIM, TOLS
+from .tolerances import TOLS
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -43,29 +43,6 @@ def is_unitary(m: np.ndarray, atol: float = TOLS.unitary) -> bool:
         return False
     eye = np.eye(m.shape[0])
     return bool(np.max(np.abs(m @ m.conj().T - eye)) <= atol)
-
-
-def tensor(*matrices, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
-    """Kronecker product of one or more matrices.
-
-    Subsystem ordering follows the argument order, so
-    ``tensor(a, b)[i*br + k, j*bc + l] = a[i, j] * b[k, l]``.
-
-    Raises:
-        ValueError: "dimension overflow" if either side of the result would
-            exceed ``max_dim``.
-    """
-    if not matrices:
-        raise ValueError("tensor requires at least one matrix")
-    mats = [as_complex_matrix(m) for m in matrices]
-    rows = math.prod(m.shape[0] for m in mats)
-    cols = math.prod(m.shape[1] for m in mats)
-    if rows > max_dim or cols > max_dim:
-        raise ValueError("dimension overflow")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:

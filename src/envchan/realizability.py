@@ -34,6 +34,12 @@ NUMERICAL_EVIDENCE_NOTE = (
     "search, not a proof of non-realizability."
 )
 
+# L-BFGS-B stopping tolerances are multiples of this; both act on the squared
+# objective and stay well below the squared verdict thresholds. They stay
+# written as products: 1e-6 * 1e-12 is not the double 1e-18, and seeded
+# search results depend on the exact ftol.
+_STEP_TOLERANCE = 1e-12
+
 
 def parameter_count(d: int, d_fin: int) -> int:
     """Real parameters of the mixed-environment realization problem:
@@ -63,7 +69,6 @@ class SearchConfig:
     restarts: int = 50
     max_iters: int = 2000
     seed: int = 0
-    step_tolerance: float = 1e-12
     realizable_threshold: float = 1e-6
     nonrealizable_threshold: float = 1e-3
 
@@ -72,8 +77,6 @@ class SearchConfig:
             raise ValueError("restarts must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be positive")
         if not 0 < self.realizable_threshold < self.nonrealizable_threshold:
             raise ValueError(
                 "realizable_threshold must be below nonrealizable_threshold"
@@ -90,11 +93,11 @@ class SearchResult:
     (the loop stops early once a restart beats the realizable threshold).
     """
 
-    best_residual: float
-    best_unitary: np.ndarray
-    best_env_spectrum: np.ndarray
     verdict: str
+    best_residual: float
     residual_history: tuple
+    best_env_spectrum: np.ndarray
+    best_unitary: np.ndarray
 
 
 def _pack_hermitian(x: np.ndarray, n: int) -> np.ndarray:
@@ -231,10 +234,8 @@ def search_mixed_env_realization(
             method="L-BFGS-B",
             options={
                 "maxiter": config.max_iters,
-                # Tolerances act on the squared objective; keep them well
-                # below the squared verdict thresholds.
-                "ftol": 1e-6 * config.step_tolerance,
-                "gtol": 1e-4 * config.step_tolerance,
+                "ftol": 1e-6 * _STEP_TOLERANCE,
+                "gtol": 1e-4 * _STEP_TOLERANCE,
             },
         )
         value = float(res.fun)
@@ -254,11 +255,11 @@ def search_mixed_env_realization(
     else:
         verdict = UNDECIDED
     return SearchResult(
-        best_residual=best_residual,
-        best_unitary=unitary,
-        best_env_spectrum=spectrum,
         verdict=verdict,
+        best_residual=best_residual,
         residual_history=tuple(history),
+        best_env_spectrum=spectrum,
+        best_unitary=unitary,
     )
 
 

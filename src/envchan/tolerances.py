@@ -25,8 +25,6 @@ class Tolerances:
         unitary: entrywise bound on ``U @ U.conj().T - I``.
         trace_preserving: entrywise bound on ``sum(E.conj().T @ E) - I`` and
             on the partial trace of a Choi matrix against the identity.
-        reconstruction: Frobenius bound for round-trip reconstructions
-            (channel -> dilation -> channel, representation conversions).
         kraus_rank_cutoff: Choi eigenvalues at or below this are dropped when
             extracting Kraus operators.
         extremal_rank: singular values below this count as zero in the
@@ -48,7 +46,6 @@ class Tolerances:
     state_norm: float = 1e-12
     unitary: float = 1e-10
     trace_preserving: float = 1e-10
-    reconstruction: float = 1e-9
     kraus_rank_cutoff: float = 1e-10
     extremal_rank: float = 1e-8
     env_spectrum_cutoff: float = 1e-12
@@ -59,6 +56,3 @@ class Tolerances:
 
 
 TOLS = Tolerances()
-
-# Hard cap on the side length of any matrix produced by a tensor product.
-MAX_TENSOR_DIM = 4096

@@ -98,6 +98,14 @@ class TestBuild:
         assert code == 2
         assert "together" in err
 
+    @pytest.mark.parametrize("command", [("certify",), ("build", "counterexample")])
+    def test_rejects_one_dimensional_final_system(self, capsys, command):
+        code, _, err = run(
+            capsys, *command, "--d", "2", "--d-fin", "1", "--alpha", "1", "--beta", "1"
+        )
+        assert code == 2
+        assert "dimensions must be at least 2" in err
+
     def test_random_channel_is_valid(self, capsys, tmp_path):
         path = tmp_path / "random.json"
         code, out, _ = run(
@@ -261,6 +269,40 @@ class TestPerturb:
         assert len(results["verdicts"]) == 1
         assert 0.0 <= results["fraction_likely_not_realizable"] <= 1.0
         assert results["note"]
+
+
+class TestReportKeys:
+    """The report encoder must keep each result's keys in this order."""
+
+    def test_search(self, capsys, counterexample_file):
+        _, data, _ = run_json(
+            capsys, "search", counterexample_file, "--restarts", "1", "--max-iters", "20"
+        )
+        assert list(data["results"]) == [
+            "verdict", "best_residual", "residual_history", "best_env_spectrum",
+            "best_unitary", "realizable_threshold", "nonrealizable_threshold", "note",
+        ]
+
+    def test_perturb(self, capsys, identity_file):
+        _, data, _ = run_json(
+            capsys, "perturb", identity_file, "--radius", "0.01", "--samples", "1",
+            "--restarts", "1", "--max-iters", "20",
+        )
+        assert list(data["results"]) == [
+            "radius", "n_samples", "fraction_likely_not_realizable", "verdicts",
+            "best_residuals", "residual_min", "residual_max", "residual_mean",
+            "residual_median", "note",
+        ]
+
+    def test_certify_with_membership(self, capsys, counterexample_file):
+        _, data, _ = run_json(capsys, "certify", counterexample_file)
+        assert list(data["results"]) == [
+            "claim", "rank_tested", "vectors_required", "dimension_available",
+            "decoherence_contradiction", "d2_branch_used", "narrative", "membership",
+        ]
+        assert list(data["results"]["membership"]) == [
+            "choi_distance", "canonical_rho_target",
+        ]
 
 
 class TestErrorPaths:

@@ -5,9 +5,11 @@ import pytest
 
 from envchan import (
     CounterexampleParams,
+    Dilation,
     build_counterexample,
     channel_from_dilation,
     distance,
+    identity_channel,
     implementing_unitary,
     random_channel,
     random_density_matrix,
@@ -150,3 +152,26 @@ def test_load_rejects_non_object(tmp_path):
     path.write_text("[1, 2, 3]\n", encoding="utf-8")
     with pytest.raises(ValueError, match="malformed file"):
         load_json(path)
+
+
+@pytest.mark.parametrize(
+    "loader, payload, keys",
+    [
+        (channel_from_dict, lambda: channel_to_dict(identity_channel(1)), ("d_in", "d_out")),
+        (state_from_dict, lambda: state_to_dict(np.eye(1)), ("dim",)),
+        (
+            dilation_from_dict,
+            lambda: dilation_to_dict(Dilation(1, 1, 0, np.eye(1), np.eye(1))),
+            ("d_in", "d_fin"),
+        ),
+    ],
+    ids=["channel", "state", "dilation"],
+)
+def test_boolean_dimensions_rejected(loader, payload, keys):
+    # bool is an int subclass: True would otherwise load as dimension 1.
+    data = payload()
+    loader(data)
+    for key in keys:
+        data[key] = True
+    with pytest.raises(ValueError, match="malformed file"):
+        loader(data)

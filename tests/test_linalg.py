@@ -1,5 +1,4 @@
-"""Tests for tensor products, partial traces, eigendecomposition, and
-unitary completion."""
+"""Tests for partial traces, eigendecomposition, and unitary completion."""
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from envchan import (
     is_hermitian,
     is_unitary,
     partial_trace,
-    tensor,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -27,38 +25,6 @@ def haar_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestTensor:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_projector_product(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1, 1] = 1.0
-        np.testing.assert_array_equal(tensor(p0, p1), expected)
-
-    def test_bit_flip_on_first_factor(self):
-        # (X ⊗ I)|00⟩ = |10⟩, computed on the 4-dim column directly.
-        ket00 = np.zeros(4, dtype=complex)
-        ket00[0] = 1.0
-        ket10 = np.zeros(4, dtype=complex)
-        ket10[2] = 1.0
-        np.testing.assert_allclose(tensor(X, np.eye(2)) @ ket00, ket10, atol=1e-15)
-
-    def test_associative(self):
-        rng = np.random.default_rng(5)
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        np.testing.assert_allclose(
-            tensor(tensor(a, b), c), tensor(a, tensor(b, c)), atol=1e-12
-        )
-
-    def test_dimension_overflow(self):
-        big = np.eye(64)
-        with pytest.raises(ValueError, match="dimension overflow"):
-            tensor(big, big, big)  # 64^3 > 4096
-
-
 class TestPartialTrace:
     def test_product_state_factorization(self):
         rng = np.random.default_rng(0)
@@ -69,7 +35,7 @@ class TestPartialTrace:
         b = b @ b.conj().T
         b /= np.trace(b)
         np.testing.assert_allclose(
-            partial_trace(tensor(a, b), [2, 3], keep={0}), a, atol=1e-12
+            partial_trace(np.kron(a, b), [2, 3], keep={0}), a, atol=1e-12
         )
 
     def test_bell_state_reduction(self):
@@ -102,14 +68,14 @@ class TestPartialTrace:
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         np.testing.assert_allclose(
-            partial_trace(tensor(a, b), [3, 2], keep={0}), np.trace(b) * a, atol=1e-10
+            partial_trace(np.kron(a, b), [3, 2], keep={0}), np.trace(b) * a, atol=1e-10
         )
 
     def test_multi_subsystem_keep(self):
         rng = np.random.default_rng(3)
         mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in (2, 2, 3)]
-        joint = tensor(*mats)
-        expected = np.trace(mats[1]) * tensor(mats[0], mats[2])
+        joint = np.kron(np.kron(mats[0], mats[1]), mats[2])
+        expected = np.trace(mats[1]) * np.kron(mats[0], mats[2])
         np.testing.assert_allclose(
             partial_trace(joint, [2, 2, 3], keep={0, 2}), expected, atol=1e-10
         )

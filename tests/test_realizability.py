@@ -79,8 +79,6 @@ class TestSearchConfig:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError, match="max_iters must be positive"):
             SearchConfig(max_iters=0)
-        with pytest.raises(ValueError, match="step_tolerance must be positive"):
-            SearchConfig(step_tolerance=0.0)
         with pytest.raises(ValueError, match="below"):
             SearchConfig(realizable_threshold=1e-2, nonrealizable_threshold=1e-3)
 
