@@ -253,7 +253,13 @@ def random_channel(
     A Ginibre matrix of shape (d_out·kraus_rank, d_in) is orthonormalized by
     QR; its d_out-row blocks are the Kraus operators. ``kraus_rank`` defaults
     to d_in·d_out (a generic, full-Choi-rank channel).
+
+    Raises:
+        ValueError: "dimensions must be positive" if d_in or d_out is below
+            1; "kraus rank too small" if the rank cannot give an isometry.
     """
+    if d_in < 1 or d_out < 1:
+        raise ValueError("dimensions must be positive")
     if kraus_rank is None:
         kraus_rank = d_in * d_out
     if kraus_rank < 1 or d_out * kraus_rank < d_in:

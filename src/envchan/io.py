@@ -29,7 +29,8 @@ def matrix_to_pairs(m) -> list:
 
 
 def matrix_from_pairs(obj) -> np.ndarray:
-    """Decode a matrix written by :func:`matrix_to_pairs`.
+    """Decode a matrix written by :func:`matrix_to_pairs`. Entries must be
+    real numbers; booleans, a ``Real`` subclass, are rejected.
 
     Raises:
         ValueError: "malformed matrix" on any structural problem.
@@ -47,7 +48,9 @@ def matrix_from_pairs(obj) -> np.ndarray:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, Real) for x in pair)
+                or not all(
+                    isinstance(x, Real) and not isinstance(x, bool) for x in pair
+                )
             ):
                 raise ValueError("malformed matrix")
             entries.append(complex(pair[0], pair[1]))

@@ -9,7 +9,10 @@ form loses nothing — a basis change is absorbed into U.)
 The searcher minimizes the Frobenius Choi distance over an unconstrained
 parametrization: U = exp(iH) with H Hermitian (n² real parameters,
 n = d·d_fin) and p = softmax(z) (d_fin reals), using L-BFGS-B with an
-analytic gradient, multi-restarted from seeded random points. Results carry
+analytic gradient, multi-restarted from seeded random points. The
+evaluator's index arrays (the Hermitian packing and the Kraus layout) form a
+plan built once per (d, d_fin), so each objective call does only the
+arithmetic: one eigendecomposition and a handful of matmuls. Results carry
 a verdict against two thresholds; LIKELY_NOT_REALIZABLE is numerical
 evidence from a local search, never a proof.
 """
@@ -17,6 +20,7 @@ evidence from a local search, never a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from statistics import median
 
 import numpy as np
@@ -100,33 +104,64 @@ class SearchResult:
     best_unitary: np.ndarray
 
 
-def _pack_hermitian(x: np.ndarray, n: int) -> np.ndarray:
-    """Hermitian matrix from n² reals: diagonal, then upper-triangle re/im."""
-    h = np.zeros((n, n), dtype=complex)
-    h[np.diag_indices(n)] = x[:n]
-    iu = np.triu_indices(n, k=1)
-    m = len(iu[0])
-    re = x[n : n + m]
-    im = x[n + m : n + 2 * m]
-    h[iu] = re + 1j * im
-    h[(iu[1], iu[0])] = re - 1j * im
-    return h
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Index arrays of the evaluator for one (d, d_fin), n = d·d_fin.
+
+    ``diag``, ``upper`` and ``lower`` are flat indices into an n×n matrix:
+    its diagonal, its strict upper triangle in row-major order, and the
+    mirror of each upper entry. ``kraus`` gathers the flat unitary into the
+    (d_fin·d)×n matrix A of vectorized Kraus operators,
+    A[(s, a), (i, m)] = U[(a, m), (i, s)], and ``kraus_inv`` maps A's layout
+    back onto U's.
+    """
+
+    n: int
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    kraus: np.ndarray
+    kraus_inv: np.ndarray
 
 
-def _unpack_hermitian_gradient(g: np.ndarray, n: int) -> np.ndarray:
-    """Chain rule from a matrix gradient dF/dH* onto the n² real parameters."""
-    iu = np.triu_indices(n, k=1)
-    d_diag = np.real(np.diagonal(g))
-    d_re = np.real(g[(iu[1], iu[0])] + g[iu])
-    d_im = np.real(1j * g[(iu[1], iu[0])] - 1j * g[iu])
-    return np.concatenate([d_diag, d_re, d_im])
+@lru_cache(maxsize=None)
+def _plan(d: int, dp: int) -> _Plan:
+    """The evaluator's index plan, built once per (d, d_fin) and shared
+    read-only by every call."""
+    n = d * dp
+    iu, ju = np.triu_indices(n, k=1)
+    flat = np.arange(n * n)
+    arrays = (
+        np.arange(n) * (n + 1),
+        iu * n + ju,
+        ju * n + iu,
+        np.transpose(flat.reshape(d, dp, d, dp), (3, 0, 2, 1)).ravel(),
+        np.transpose(flat.reshape(dp, d, d, dp), (1, 3, 2, 0)).ravel(),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return _Plan(n, *arrays)
+
+
+def _pack_hermitian(x: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Hermitian matrix from the first n² reals of x: diagonal, then
+    upper-triangle re/im."""
+    n = plan.n
+    m = len(plan.upper)
+    h = np.zeros(n * n, dtype=complex)
+    h[plan.diag] = x[:n]
+    c = x[n : n + m] + 1j * x[n + m : n + 2 * m]
+    h[plan.upper] = c
+    h[plan.lower] = c.conj()
+    return h.reshape(n, n)
 
 
 def _exp_i_hermitian(h: np.ndarray):
-    """(exp(iH), eigenvalues, eigenvectors, exp(i·eigenvalues))."""
+    """(exp(iH), eigenvalues, eigenvectors V, V†, exp(i·eigenvalues))."""
     w, v = np.linalg.eigh(h)
+    vh = v.conj().T
     eiw = np.exp(1j * w)
-    return (v * eiw) @ v.conj().T, w, v, eiw
+    return (v * eiw) @ vh, w, v, vh, eiw
 
 
 def _dexp_divided_differences(w: np.ndarray, eiw: np.ndarray) -> np.ndarray:
@@ -134,11 +169,9 @@ def _dexp_divided_differences(w: np.ndarray, eiw: np.ndarray) -> np.ndarray:
     Φ_kl = (e^{iw_k} − e^{iw_l})/(w_k − w_l), with i·e^{iw_k} on coincidence.
     """
     dw = w[:, None] - w[None, :]
-    num = eiw[:, None] - eiw[None, :]
-    phi = np.where(np.abs(dw) > 1e-12, num / np.where(dw == 0, 1.0, dw), 0j)
     same = np.abs(dw) <= 1e-12
-    diag_val = 1j * np.broadcast_to(eiw[:, None], phi.shape)
-    phi[same] = diag_val[same]
+    phi = (eiw[:, None] - eiw[None, :]) / np.where(same, 1.0, dw)
+    phi[same] = np.broadcast_to(1j * eiw[:, None], phi.shape)[same]
     return phi
 
 
@@ -149,41 +182,50 @@ def _objective_and_grad(x: np.ndarray, target_choi: np.ndarray, d: int, dp: int)
     Parameters are n² reals for H (U = exp(iH), n = d·dp) followed by dp
     reals for the softmax spectrum. The gradient through exp(iH) uses the
     eigendecomposition and first divided differences; the gradient through
-    softmax is the standard Jacobian-vector product.
+    softmax is the standard Jacobian-vector product. The index arrays come
+    from ``_plan``, built once per (d, dp) and cached, so a call does only
+    the arithmetic.
     """
-    n = d * dp
+    plan = _plan(d, dp)
+    n = plan.n
     nh = n * n
-    h = _pack_hermitian(x[:nh], n)
+    h = _pack_hermitian(x, plan)
     z = x[nh:]
     ez = np.exp(z - z.max())
     p = ez / ez.sum()
+    p_rep = p.repeat(d)[:, None]
 
-    u, w, v, eiw = _exp_i_hermitian(h)
-    # vecs[s, a, (i·dp + m)] = U[(a, m), (i, s)]: vectorized Kraus operators
-    # for traced-out initial index a and environment eigenvector s.
-    ut = u.reshape(d, dp, d, dp)
-    vecs = np.transpose(ut, (3, 0, 2, 1)).reshape(dp, d, d * dp)
-    choi = np.einsum("s,sav,saw->vw", p, vecs, vecs.conj())
+    u, w, v, vh, eiw = _exp_i_hermitian(h)
+    # Row (s, a) of A is the vectorized Kraus operator for environment
+    # eigenvector s and traced-out initial index a.
+    a = u.ravel()[plan.kraus].reshape(dp * d, n)
+    a_conj = a.conj()
+    choi = a.T @ (p_rep * a_conj)
     diff = choi - target_choi
-    value = float(np.real(np.einsum("vw,vw->", diff.conj(), diff)))
+    value = np.vdot(diff, diff).real
 
-    wv = np.einsum("vw,saw->sav", diff, vecs)
-    q = 2.0 * np.real(np.einsum("sav,sav->s", vecs.conj(), wv))
-    grad_z = p * (q - np.dot(q, p))
+    wv = a @ diff.T
+    q = 2.0 * (a_conj * wv).real.sum(axis=1).reshape(dp, d).sum(axis=1)
+    grad = np.empty(nh + dp)
+    grad[nh:] = p * (q - np.dot(q, p))
 
-    g4 = np.einsum("s,sav->sav", p, wv).reshape(dp, d, d, dp)
-    g = np.transpose(g4, (1, 3, 2, 0)).reshape(n, n)
+    # p·wv in U's layout; the factor 4 belongs to dF/dH.
+    g = (4.0 * p_rep * wv).ravel()[plan.kraus_inv].reshape(n, n)
     phi = _dexp_divided_differences(w, eiw)
-    m = v.conj().T @ g @ v
-    gh = v @ (np.conj(phi) * m) @ v.conj().T
-    grad_h = 4.0 * _unpack_hermitian_gradient(gh, n)
-    return value, np.concatenate([grad_h, grad_z])
+    gh = (v @ (np.conj(phi) * (vh @ g @ v)) @ vh).ravel()
+    # Chain rule from dF/dH* onto the diagonal and upper-triangle re/im.
+    re, im = gh.real, gh.imag
+    m = len(plan.upper)
+    grad[:n] = re[plan.diag]
+    grad[n : n + m] = re[plan.lower] + re[plan.upper]
+    grad[n + m : nh] = im[plan.upper] - im[plan.lower]
+    return value, grad
 
 
 def _decode_point(x: np.ndarray, d: int, dp: int):
-    n = d * dp
-    u, _, _, _ = _exp_i_hermitian(_pack_hermitian(x[: n * n], n))
-    z = x[n * n :]
+    plan = _plan(d, dp)
+    u = _exp_i_hermitian(_pack_hermitian(x, plan))[0]
+    z = x[plan.n * plan.n :]
     ez = np.exp(z - z.max())
     return u, ez / ez.sum()
 

@@ -120,6 +120,11 @@ class TestBuild:
         assert (ch.d_in, ch.d_out) == (2, 3)
         assert len(ch.kraus) == 2
 
+    def test_random_rejects_zero_dimension(self, capsys):
+        code, _, err = run(capsys, "build", "random", "--d", "0", "--d-fin", "2")
+        assert code == 2
+        assert "dimensions must be positive" in err
+
     def test_random_is_seeded(self, capsys):
         args = ("build", "random", "--d", "2", "--d-fin", "2", "--seed", "3")
         _, first, _ = run_json(capsys, *args)

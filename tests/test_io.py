@@ -1,5 +1,7 @@
 """Round-trip and error-path tests for the JSON file formats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,7 @@ class TestMatrixPairs:
             [[1.0, 2.0]],
             [[[1.0]]],
             [[[1.0, "x"]]],
+            [[[True, False]]],
             [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
             [[]],
         ):
@@ -175,3 +178,24 @@ def test_boolean_dimensions_rejected(loader, payload, keys):
         data[key] = True
     with pytest.raises(ValueError, match="malformed file"):
         loader(data)
+
+
+@pytest.mark.parametrize(
+    "loader, payload, key",
+    [
+        (channel_from_dict, lambda: channel_to_dict(identity_channel(1)), "kraus"),
+        (state_from_dict, lambda: state_to_dict(np.eye(1)), "matrix"),
+    ],
+    ids=["channel", "state"],
+)
+def test_boolean_entries_rejected(tmp_path, loader, payload, key):
+    # bool is a numbers.Real: [true, false] would otherwise load as 1+0j.
+    data = payload()
+    loader(data)
+    path = tmp_path / "booleans.json"
+    save_json(data, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("1.0", "true").replace("0.0", "false"), encoding="utf-8")
+    assert "true" in json.dumps(load_json(path)[key])
+    with pytest.raises(ValueError, match="malformed matrix"):
+        loader(load_json(path))
