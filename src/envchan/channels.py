@@ -27,6 +27,11 @@ def _vec(op: np.ndarray) -> np.ndarray:
     return op.T.reshape(-1)
 
 
+def _choi_from_vecs(vecs: np.ndarray) -> np.ndarray:
+    """Σ_k v_k v_k† over the rows v_k of ``vecs``."""
+    return np.einsum("kv,kw->vw", vecs, vecs.conj())
+
+
 def _unvec(v: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return v.reshape(d_in, d_out).T
 
@@ -111,8 +116,7 @@ class ChoiMatrix:
 def kraus_to_choi(k: KrausSet) -> ChoiMatrix:
     """Choi matrix Σ_k vec(E_k) vec(E_k)† of a Kraus set."""
     vecs = np.stack([_vec(op) for op in k.operators])
-    c = np.einsum("kv,kw->vw", vecs, vecs.conj())
-    return ChoiMatrix(k.d_in, k.d_out, c)
+    return ChoiMatrix(k.d_in, k.d_out, _choi_from_vecs(vecs))
 
 
 def choi_to_kraus(c: ChoiMatrix, cutoff: float = TOLS.kraus_rank_cutoff) -> KrausSet:
@@ -199,8 +203,8 @@ def mix(channels, weights) -> Channel:
 
     Raises:
         ValueError: "shape mismatch" if the channels' dimensions disagree;
-            "not a distribution" if the weights are negative or do not sum
-            to 1 within the distribution tolerance.
+            "not a distribution" if the weights are negative or NaN, or do
+            not sum to 1 within the distribution tolerance.
     """
     channels = list(channels)
     w = np.asarray(weights, dtype=float)
@@ -209,7 +213,7 @@ def mix(channels, weights) -> Channel:
     dims = (channels[0].d_in, channels[0].d_out)
     if any((ch.d_in, ch.d_out) != dims for ch in channels):
         raise ValueError("shape mismatch")
-    if w.min() < 0 or abs(w.sum() - 1.0) > TOLS.distribution:
+    if not (w.min() >= 0 and abs(w.sum() - 1.0) <= TOLS.distribution):
         raise ValueError("not a distribution")
     c = sum(wi * ch.choi.matrix for wi, ch in zip(w, channels))
     return Channel.from_choi(ChoiMatrix(dims[0], dims[1], c))

@@ -9,6 +9,10 @@ where U acts on the joint space ordered [initial, final, environment] and
 (final system ⊗ auxiliary environment). ``d_env = 0`` means there is no
 auxiliary environment at all — the final system doubles as the environment —
 and is treated as a one-dimensional trivial factor internally.
+
+Which entry of U is which Kraus entry is stated in one place,
+:func:`_kraus_rows`; the channel of a dilation, the Stinespring construction
+and the realization searcher's index plan all derive from it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, ChoiMatrix, KrausSet
+from .channels import Channel, ChoiMatrix, KrausSet, _choi_from_vecs, _vec
 from .linalg import as_complex_matrix, complete_unitary, eig_hermitian, is_unitary
 from .states import basis_state, projector, validate_density_matrix
 from .tolerances import TOLS
@@ -76,18 +80,17 @@ class SpectralComponent:
     channel: Channel
 
 
-def _kraus_vectors(d: Dilation, env_vector: np.ndarray) -> np.ndarray:
-    """Vectorized Kraus operators of the dilation run on a pure env vector.
+def _kraus_rows(columns: np.ndarray, d_in: int, d_fin: int) -> np.ndarray:
+    """The dilation's Kraus layout, stated once: E_{t,a,b}[m, i] = ⟨a m b|U|i t⟩.
 
-    Returns an array of shape (d_in · d_env_eff, d_in · d_fin): one row per
-    traced-out basis pair (a, b), holding vec(E_{a,b}) in the input-major
-    convention of the channels module.
+    ``columns`` holds U's columns for the inputs |i, t⟩ (input-major), with
+    rows ordered [initial a, final m, environment b]. Returns one row per
+    (t, a, b) holding vec(E_{t,a,b}) in the input-major convention of the
+    channels module. Applied to U's flat indices, it gives the layout as a
+    gather.
     """
-    env_eff = max(d.d_env, 1)
-    columns = d.unitary @ np.kron(np.eye(d.d_in), env_vector[:, None])
-    # columns[(a, m, b), i] = ⟨a m b|U|i, env⟩; Kraus E_{a,b}[m, i].
-    t = columns.reshape(d.d_in, d.d_fin, env_eff, d.d_in)
-    return np.transpose(t, (0, 2, 3, 1)).reshape(d.d_in * env_eff, d.d_in * d.d_fin)
+    t = columns.reshape(d_in, d_fin, -1, d_in, columns.shape[1] // d_in)
+    return t.transpose(4, 0, 2, 3, 1).reshape(-1, d_in * d_fin)
 
 
 def _env_components(d: Dilation):
@@ -101,8 +104,8 @@ def _env_components(d: Dilation):
     for p, vec in zip(weights, vectors.T):
         if p <= TOLS.env_spectrum_cutoff:
             continue
-        rows = _kraus_vectors(d, vec)
-        yield p, vec, np.einsum("kv,kw->vw", rows, rows.conj())
+        columns = d.unitary @ np.kron(np.eye(d.d_in), vec[:, None])
+        yield p, vec, _choi_from_vecs(_kraus_rows(columns, d.d_in, d.d_fin))
 
 
 def channel_from_dilation(d: Dilation) -> Channel:
@@ -131,25 +134,15 @@ def stinespring_from_kraus(k: KrausSet) -> Dilation:
     d_in, d_out, r = k.d_in, k.d_out, len(k)
     block = d_out * r
     side = d_in * block
-    populated = np.zeros((side, d_in), dtype=complex)
-    for i in range(d_in):
-        joint = np.zeros((d_in, d_out, r), dtype=complex)
-        for idx, op in enumerate(k.operators):
-            joint[0, :, idx] = op[:, i]
-        populated[:, i] = joint.reshape(-1)
-    completed = complete_unitary(populated)
-
-    # Place column i of the isometry at input index (i, 0', 0) = i·block and
-    # spread the filler columns over the remaining input indices.
-    unitary = np.zeros((side, side), dtype=complex)
-    filler = iter(range(d_in, side))
-    for col in range(side):
-        if col % block == 0:
-            unitary[:, col] = completed[:, col // block]
-        else:
-            unitary[:, col] = completed[:, next(filler)]
+    # Kraus E_k sits at (t=0, a=0, b=k): the first r rows of the layout.
+    layout = _kraus_rows(np.arange(side * side).reshape(side, side), d_in, d_out)
+    u = np.zeros(side * side, dtype=complex)
+    u[layout[:r]] = np.stack([_vec(op) for op in k.operators])
+    u = u.reshape(side, side)
+    filler = np.arange(side) % block != 0
+    u[:, filler] = complete_unitary(u[:, ~filler])[:, d_in:]
     env_state = projector(basis_state(block, 0))
-    return Dilation(d_in=d_in, d_fin=d_out, d_env=r, unitary=unitary, env_state=env_state)
+    return Dilation(d_in=d_in, d_fin=d_out, d_env=r, unitary=u, env_state=env_state)
 
 
 def decompose_mixed_env(d: Dilation) -> list[SpectralComponent]:

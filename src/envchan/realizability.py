@@ -10,11 +10,12 @@ The searcher minimizes the Frobenius Choi distance over an unconstrained
 parametrization: U = exp(iH) with H Hermitian (n² real parameters,
 n = d·d_fin) and p = softmax(z) (d_fin reals), using L-BFGS-B with an
 analytic gradient, multi-restarted from seeded random points. The
-evaluator's index arrays (the Hermitian packing and the Kraus layout) form a
-plan built once per (d, d_fin), so each objective call does only the
-arithmetic: one eigendecomposition and a handful of matmuls. Results carry
-a verdict against two thresholds; LIKELY_NOT_REALIZABLE is numerical
-evidence from a local search, never a proof.
+evaluator's index arrays (the Hermitian packing, and the Kraus layout taken
+from ``dilation._kraus_rows``) form a plan built once per (d, d_fin), so
+each objective call does only the arithmetic: one eigendecomposition and a
+handful of matmuls. Results carry a verdict against two thresholds;
+LIKELY_NOT_REALIZABLE is numerical evidence from a local search, never a
+proof.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .channels import Channel, distance, mix, random_channel
-from .dilation import Dilation, channel_from_dilation
+from .dilation import Dilation, _kraus_rows, channel_from_dilation
 
 REALIZED = "REALIZED"
 LIKELY_NOT_REALIZABLE = "LIKELY_NOT_REALIZABLE"
@@ -111,9 +112,8 @@ class _Plan:
     ``diag``, ``upper`` and ``lower`` are flat indices into an n×n matrix:
     its diagonal, its strict upper triangle in row-major order, and the
     mirror of each upper entry. ``kraus`` gathers the flat unitary into the
-    (d_fin·d)×n matrix A of vectorized Kraus operators,
-    A[(s, a), (i, m)] = U[(a, m), (i, s)], and ``kraus_inv`` maps A's layout
-    back onto U's.
+    (d_fin·d)×n matrix A of vectorized Kraus operators, in the layout of
+    ``dilation._kraus_rows``, and ``kraus_inv`` maps A's layout back onto U's.
     """
 
     n: int
@@ -131,13 +131,10 @@ def _plan(d: int, dp: int) -> _Plan:
     n = d * dp
     iu, ju = np.triu_indices(n, k=1)
     flat = np.arange(n * n)
-    arrays = (
-        np.arange(n) * (n + 1),
-        iu * n + ju,
-        ju * n + iu,
-        np.transpose(flat.reshape(d, dp, d, dp), (3, 0, 2, 1)).ravel(),
-        np.transpose(flat.reshape(dp, d, d, dp), (1, 3, 2, 0)).ravel(),
-    )
+    kraus = _kraus_rows(flat.reshape(n, n), d, dp).ravel()
+    kraus_inv = np.empty_like(kraus)
+    kraus_inv[kraus] = flat
+    arrays = (np.arange(n) * (n + 1), iu * n + ju, ju * n + iu, kraus, kraus_inv)
     for a in arrays:
         a.flags.writeable = False
     return _Plan(n, *arrays)
@@ -170,9 +167,8 @@ def _dexp_divided_differences(w: np.ndarray, eiw: np.ndarray) -> np.ndarray:
     """
     dw = w[:, None] - w[None, :]
     same = np.abs(dw) <= 1e-12
-    phi = (eiw[:, None] - eiw[None, :]) / np.where(same, 1.0, dw)
-    phi[same] = np.broadcast_to(1j * eiw[:, None], phi.shape)[same]
-    return phi
+    quotient = (eiw[:, None] - eiw[None, :]) / np.where(same, 1.0, dw)
+    return np.where(same, 1j * eiw[:, None], quotient)
 
 
 def _objective_and_grad(x: np.ndarray, target_choi: np.ndarray, d: int, dp: int):
@@ -341,12 +337,12 @@ def perturbation_experiment(
     n_samples).
 
     Raises:
-        ValueError: "radius too large" if radius ≥ 1; "radius must be
-            positive" if radius ≤ 0; "n_samples must be positive".
+        ValueError: "radius too large" if radius ≥ 1 or is NaN; "radius
+            must be positive" if radius ≤ 0; "n_samples must be positive".
     """
-    if radius >= 1:
+    if not radius < 1:
         raise ValueError("radius too large")
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")

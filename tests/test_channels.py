@@ -192,6 +192,8 @@ class TestMix:
             mix(chs, [0.6, 0.6])
         with pytest.raises(ValueError, match="not a distribution"):
             mix(chs, [1.5, -0.5])
+        with pytest.raises(ValueError, match="not a distribution"):
+            mix(chs, [np.nan, 1.0])
 
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -256,11 +256,12 @@ class TestSearch:
 
 class TestPerturb:
     def test_radius_validation(self, capsys, identity_file):
-        code, _, err = run(
-            capsys, "perturb", identity_file, "--radius", "1.5", "--samples", "2"
-        )
-        assert code == 2
-        assert "radius too large" in err
+        for radius in ("1.5", "nan"):
+            code, _, err = run(
+                capsys, "perturb", identity_file, "--radius", radius, "--samples", "2"
+            )
+            assert code == 2
+            assert "radius too large" in err
 
     def test_small_run(self, capsys, identity_file):
         code, data, _ = run_json(

@@ -58,6 +58,24 @@ class TestChannelFromDilation:
         eigenvalues = np.linalg.eigvalsh(ch.choi.matrix)
         assert len(ch.kraus) == np.sum(eigenvalues > 1e-10)
 
+    @pytest.mark.parametrize("d_env", [0, 1, 2])
+    def test_choi_matches_definition(self, d_env):
+        # C[(i, m), (j, n)] = Σ U[a,m,b,i,t] ρ[t,t′] U*[a,n,b,j,t′], written
+        # from the definition rather than through the Kraus layout, with a
+        # non-diagonal environment state.
+        rng = np.random.default_rng([8, d_env])
+        d_in, d_fin, env_eff = 2, 3, max(d_env, 1)
+        u = haar_unitary(d_in * d_fin * env_eff, rng)
+        env = random_density_matrix(d_fin * env_eff, rng)
+        assert np.max(np.abs(env - np.diag(np.diag(env)))) > 1e-3
+        ch = channel_from_dilation(Dilation(d_in, d_fin, d_env, u, env))
+        u5 = u.reshape(d_in, d_fin, env_eff, d_in, d_fin * env_eff)
+        direct = np.einsum("ambit,ts,anbjs->imjn", u5, env, u5.conj())
+        side = d_in * d_fin
+        np.testing.assert_allclose(
+            ch.choi.matrix, direct.reshape(side, side), atol=1e-12
+        )
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             Dilation(2, 2, 0, np.eye(4) * 0.9, projector(basis_state(2, 0)))

@@ -20,7 +20,12 @@ from envchan import (
     search_mixed_env_realization,
 )
 import envchan.realizability as realizability
-from envchan.realizability import _objective_and_grad, _pack_hermitian, _plan
+from envchan.realizability import (
+    _decode_point,
+    _objective_and_grad,
+    _pack_hermitian,
+    _plan,
+)
 
 
 def haar_unitary(dim, rng):
@@ -130,6 +135,19 @@ class TestSearchConfig:
             SearchConfig(realizable_threshold=1e-2, nonrealizable_threshold=1e-3)
 
 
+def finite_difference_error(x, target_choi, d, dp, grad, eps=1e-6):
+    """Distance of ``grad`` from central differences of the objective,
+    relative to the larger of their norm and 1."""
+    fd = np.empty(len(x))
+    for k in range(len(x)):
+        step = np.zeros(len(x))
+        step[k] = eps
+        up, _ = _objective_and_grad(x + step, target_choi, d, dp)
+        down, _ = _objective_and_grad(x - step, target_choi, d, dp)
+        fd[k] = (up - down) / (2 * eps)
+    return np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0)
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
         # Central differences around random points; the analytic gradient
@@ -137,20 +155,48 @@ class TestGradient:
         rng = np.random.default_rng(7)
         for d, dp in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]:
             target = realizable_target(d, dp, rng)
-            n_params = (d * dp) ** 2 + dp
-            x = rng.normal(size=n_params)
+            x = rng.normal(size=(d * dp) ** 2 + dp)
             value, grad = _objective_and_grad(x, target.choi.matrix, d, dp)
             assert value >= 0.0
-            eps = 1e-6
-            fd = np.empty(n_params)
-            for k in range(n_params):
-                step = np.zeros(n_params)
-                step[k] = eps
-                up, _ = _objective_and_grad(x + step, target.choi.matrix, d, dp)
-                down, _ = _objective_and_grad(x - step, target.choi.matrix, d, dp)
-                fd[k] = (up - down) / (2 * eps)
-            scale = max(np.linalg.norm(fd), 1.0)
-            assert np.linalg.norm(grad - fd) / scale < 1e-6
+            assert finite_difference_error(x, target.choi.matrix, d, dp, grad) < 1e-6
+
+    @pytest.mark.parametrize("d, dp", [(2, 2), (3, 2)])
+    def test_degenerate_spectrum(self, d, dp):
+        # At H = 0 every eigenvalue coincides; the second point has H with a
+        # repeated eigenvalue, so the divided differences also take their
+        # coincidence limit off the diagonal.
+        rng = np.random.default_rng([14, d, dp])
+        n = d * dp
+        target = realizable_target(d, dp, rng)
+        w = rng.normal(size=n)
+        w[1] = w[0]
+        q = haar_unitary(n, rng)
+        h = (q * w) @ q.conj().T
+        iu = np.triu_indices(n, k=1)
+        packed = np.concatenate([h.diagonal().real, h[iu].real, h[iu].imag])
+        spectrum = np.linalg.eigvalsh(_pack_hermitian(packed, _plan(d, dp)))
+        assert np.sum(np.diff(spectrum) <= 1e-12) == 1
+        for h_part in (np.zeros(n * n), packed):
+            x = np.concatenate([h_part, rng.normal(size=dp)])
+            value, grad = _objective_and_grad(x, target.choi.matrix, d, dp)
+            ref_value, ref_grad = _reference_objective_and_grad(
+                x, target.choi.matrix, d, dp
+            )
+            assert abs(value - ref_value) <= 1e-12 * ref_value
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+            assert finite_difference_error(x, target.choi.matrix, d, dp, grad) < 1e-6
+
+    @pytest.mark.parametrize("d, dp", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_value_is_squared_residual(self, d, dp):
+        # The evaluator's gather and the dilation path share the Kraus layout;
+        # its value must be the square of the independent re-check's residual.
+        rng = np.random.default_rng([13, d, dp])
+        target = realizable_target(d, dp, rng)
+        for _ in range(3):
+            x = rng.normal(size=(d * dp) ** 2 + dp)
+            value, _ = _objective_and_grad(x, target.choi.matrix, d, dp)
+            residual = realization_residual(target, *_decode_point(x, d, dp))
+            assert value == pytest.approx(residual**2, rel=1e-12, abs=0)
 
     def test_pack_hermitian(self):
         rng = np.random.default_rng(8)
@@ -264,6 +310,8 @@ class TestPerturbation:
         center = identity_channel(2)
         with pytest.raises(ValueError, match="radius too large"):
             perturbation_experiment(center, 1.0, 2)
+        with pytest.raises(ValueError, match="radius too large"):
+            perturbation_experiment(center, float("nan"), 2)
         with pytest.raises(ValueError, match="radius must be positive"):
             perturbation_experiment(center, 0.0, 2)
         with pytest.raises(ValueError, match="n_samples must be positive"):
