@@ -72,7 +72,6 @@ from .states import (
     validate_density_matrix,
     validate_pure_state,
 )
-from .tolerances import TOLS, Tolerances
 
 __version__ = "0.1.0"
 
@@ -93,8 +92,6 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "SpectralComponent",
-    "TOLS",
-    "Tolerances",
     "UNDECIDED",
     "apply",
     "apply_from_choi",

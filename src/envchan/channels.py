@@ -13,13 +13,13 @@ basis index ``m``, and ``C = Σ_k vec(E_k) vec(E_k)†`` with
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dagger, eig_hermitian, partial_trace
-from .tolerances import TOLS
+from .linalg import as_complex_matrix, dagger, eig_hermitian, is_hermitian, partial_trace
+from .tolerances import CHANNEL, DISTRIBUTION, EXTREMAL_RANK, KRAUS_RANK_CUTOFF
 
 
 def _vec(op: np.ndarray) -> np.ndarray:
@@ -46,6 +46,9 @@ def _frozen_copy(m: np.ndarray) -> np.ndarray:
 class KrausSet:
     """A trace-preserving set of Kraus operators, all of shape d_out × d_in.
 
+    ``atol`` is kept so that :func:`kraus_to_choi` checks the Choi matrix it
+    derives at the tolerance this set was accepted at.
+
     Raises:
         ValueError: "shape mismatch" if the operators disagree in shape;
             "not trace preserving" if Σᵢ Eᵢ†Eᵢ deviates from the identity by
@@ -53,9 +56,9 @@ class KrausSet:
     """
 
     operators: tuple
-    atol: InitVar[float] = TOLS.trace_preserving
+    atol: float = CHANNEL
 
-    def __post_init__(self, atol: float):
+    def __post_init__(self):
         ops = tuple(_frozen_copy(as_complex_matrix(op)) for op in self.operators)
         if not ops:
             raise ValueError("kraus set must be nonempty")
@@ -63,7 +66,7 @@ class KrausSet:
         if any(op.shape != shape for op in ops):
             raise ValueError("shape mismatch")
         total = sum(dagger(op) @ op for op in ops)
-        if np.max(np.abs(total - np.eye(shape[1]))) > atol:
+        if np.max(np.abs(total - np.eye(shape[1]))) > self.atol:
             raise ValueError("not trace preserving")
         object.__setattr__(self, "operators", ops)
 
@@ -83,32 +86,33 @@ class KrausSet:
 class ChoiMatrix:
     """Choi matrix of a channel, validated as CP and TP on construction.
 
+    ``atol`` is kept for :func:`choi_to_kraus`, as ``KrausSet.atol`` is.
+
     Raises:
         ValueError: "shape mismatch" if the matrix side is not d_in·d_out;
             "not completely positive" if the matrix is not Hermitian PSD
-            (eigenvalues below ``-psd_atol``); "not trace preserving" if the
-            partial trace over the output factor deviates from I_{d_in}.
+            within ``atol``; "not trace preserving" if the partial trace over
+            the output factor deviates from I_{d_in} by more than ``atol``.
     """
 
     d_in: int
     d_out: int
     matrix: np.ndarray
-    psd_atol: InitVar[float] = TOLS.psd
-    tp_atol: InitVar[float] = TOLS.trace_preserving
+    atol: float = CHANNEL
 
-    def __post_init__(self, psd_atol: float, tp_atol: float):
+    def __post_init__(self):
         if self.d_in < 1 or self.d_out < 1:
             raise ValueError("shape mismatch")
         m = as_complex_matrix(self.matrix)
         side = self.d_in * self.d_out
         if m.shape != (side, side):
             raise ValueError("shape mismatch")
-        if np.max(np.abs(m - m.conj().T)) > max(psd_atol, TOLS.hermitian_check):
+        if not is_hermitian(m, self.atol):
             raise ValueError("not completely positive")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -psd_atol:
+        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -self.atol:
             raise ValueError("not completely positive")
         reduced = partial_trace(m, [self.d_in, self.d_out], keep={0})
-        if np.max(np.abs(reduced - np.eye(self.d_in))) > tp_atol:
+        if np.max(np.abs(reduced - np.eye(self.d_in))) > self.atol:
             raise ValueError("not trace preserving")
         object.__setattr__(self, "matrix", _frozen_copy(m))
 
@@ -116,23 +120,24 @@ class ChoiMatrix:
 def kraus_to_choi(k: KrausSet) -> ChoiMatrix:
     """Choi matrix Σ_k vec(E_k) vec(E_k)† of a Kraus set."""
     vecs = np.stack([_vec(op) for op in k.operators])
-    return ChoiMatrix(k.d_in, k.d_out, _choi_from_vecs(vecs))
+    return ChoiMatrix(k.d_in, k.d_out, _choi_from_vecs(vecs), atol=k.atol)
 
 
-def choi_to_kraus(c: ChoiMatrix, cutoff: float = TOLS.kraus_rank_cutoff) -> KrausSet:
+def choi_to_kraus(c: ChoiMatrix) -> KrausSet:
     """Minimal Kraus set from the spectral decomposition of a Choi matrix.
 
-    Eigenvalues above ``cutoff`` each contribute one operator √λ·unvec(v),
-    ordered by decreasing eigenvalue, so the number of operators is the
-    numerical rank of the Choi matrix.
+    Eigenvalues above ``KRAUS_RANK_CUTOFF`` each contribute one operator
+    √λ·unvec(v), ordered by decreasing eigenvalue, so the number of operators
+    is the numerical rank of the Choi matrix. ``c`` was checked Hermitian at
+    its own tolerance, so its exactly Hermitian part is decomposed.
     """
-    w, v = eig_hermitian(c.matrix)
+    w, v = eig_hermitian((c.matrix + c.matrix.conj().T) / 2)
     ops = [
         _unvec(np.sqrt(w[j]) * v[:, j], c.d_in, c.d_out)
         for j in range(len(w))
-        if w[j] > cutoff
+        if w[j] > KRAUS_RANK_CUTOFF
     ]
-    return KrausSet(tuple(ops))
+    return KrausSet(tuple(ops), atol=c.atol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +148,6 @@ class Channel:
 
     @classmethod
     def from_kraus(cls, operators) -> "Channel":
-        if isinstance(operators, KrausSet):
-            return cls(operators)
         return cls(KrausSet(tuple(operators)))
 
     @classmethod
@@ -199,7 +202,9 @@ def apply_from_choi(choi: ChoiMatrix, rho) -> np.ndarray:
 
 
 def mix(channels, weights) -> Channel:
-    """Convex mixture of channels: Choi(result) = Σᵢ wᵢ · Choi(chᵢ).
+    """Convex mixture of channels: Choi(result) = Σᵢ wᵢ · Choi(chᵢ), checked at
+    the loosest tolerance among the parts, since its defects are a weighted
+    average of theirs.
 
     Raises:
         ValueError: "shape mismatch" if the channels' dimensions disagree;
@@ -213,10 +218,11 @@ def mix(channels, weights) -> Channel:
     dims = (channels[0].d_in, channels[0].d_out)
     if any((ch.d_in, ch.d_out) != dims for ch in channels):
         raise ValueError("shape mismatch")
-    if not (w.min() >= 0 and abs(w.sum() - 1.0) <= TOLS.distribution):
+    if not (w.min() >= 0 and abs(w.sum() - 1.0) <= DISTRIBUTION):
         raise ValueError("not a distribution")
     c = sum(wi * ch.choi.matrix for wi, ch in zip(w, channels))
-    return Channel.from_choi(ChoiMatrix(dims[0], dims[1], c))
+    atol = max(ch.choi.atol for ch in channels)
+    return Channel.from_choi(ChoiMatrix(dims[0], dims[1], c, atol=atol))
 
 
 def distance(a: Channel, b: Channel) -> float:
@@ -230,19 +236,19 @@ def distance(a: Channel, b: Channel) -> float:
     return float(np.linalg.norm(a.choi.matrix - b.choi.matrix))
 
 
-def is_extremal(k: KrausSet, tol: float = TOLS.extremal_rank) -> bool:
+def is_extremal(k: KrausSet) -> bool:
     """Whether a channel with minimal Kraus set ``k`` is extremal.
 
     Uses the linear-independence criterion: the channel is extremal iff the
     set {Eᵢ†Eⱼ} of all pairwise products is linearly independent. The test
     stacks the vectorized products and compares the numerical rank (singular
-    values above ``tol``) against len(k)².
+    values above ``EXTREMAL_RANK``) against len(k)².
     """
     ops = k.operators
     products = [dagger(a) @ b for a in ops for b in ops]
     stacked = np.stack([p.reshape(-1) for p in products])
     singular_values = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(singular_values > tol))
+    rank = int(np.sum(singular_values > EXTREMAL_RANK))
     return rank == len(ops) ** 2
 
 

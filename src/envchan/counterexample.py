@@ -24,8 +24,8 @@ import numpy as np
 from .channels import Channel, apply, distance
 from .dilation import Dilation
 from .linalg import complete_unitary, dagger, eig_hermitian
-from .states import basis_state, projector, purity, validate_density_matrix
-from .tolerances import TOLS
+from .states import basis_state, is_pure, projector, purity, validate_density_matrix
+from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
 
 NOT_REALIZABLE = "NOT_REALIZABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -60,11 +60,11 @@ class CounterexampleParams:
         rho = validate_density_matrix(self.rho_target)
         if rho.shape != (self.d_fin, self.d_fin):
             raise ValueError("shape mismatch")
-        if purity(rho) >= 1.0 - TOLS.pure_purity_gap:
-            raise ValueError("target image must be mixed")
-        if self.d == 2 and rho[0, 0].real <= 1e-10:
-            raise ValueError("d=2 requires overlap with |0'⟩")
         object.__setattr__(self, "rho_target", rho)
+        if is_pure(rho):
+            raise ValueError("target image must be mixed")
+        if self.d == 2 and self.overlap <= OVERLAP:
+            raise ValueError("d=2 requires overlap with |0'⟩")
 
     @property
     def overlap(self) -> float:
@@ -87,7 +87,7 @@ def _family_channel(d: int, d_fin: int, phi: np.ndarray, rho: np.ndarray) -> Cha
         ops.append(op)
     lam, vecs = eig_hermitian(rho)
     for weight, vec in zip(lam, vecs.T):
-        if weight <= TOLS.env_spectrum_cutoff:
+        if weight <= ENV_SPECTRUM_CUTOFF:
             continue
         op = np.zeros((d_fin, d), dtype=complex)
         op[:, d - 1] = np.sqrt(weight) * vec
@@ -123,7 +123,7 @@ def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> D
     beta = complex(beta)
     if alpha == 0 or beta == 0:
         raise ValueError("coefficients must be nonzero")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > TOLS.state_norm:
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > STATE_NORM:
         raise ValueError("coefficients must be normalized")
     d_env = 2
     block = d_fin * d_env
@@ -176,12 +176,12 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
     target_purity = purity(p.rho_target)
 
     problems = []
-    if target_purity >= 1.0 - TOLS.pure_purity_gap:
+    if is_pure(p.rho_target):
         problems.append(
             f"target image has purity {target_purity:.12g} >= 1 - 1e-10: "
             "not truly mixed, the argument does not apply"
         )
-    if d == 2 and p.rho_target[0, 0].real <= 1e-10:
+    if d == 2 and p.overlap <= OVERLAP:
         problems.append(
             "d = 2 with <0'|rho'|0'> = 0: the rank-2 branch of the argument "
             "does not apply"
@@ -266,13 +266,14 @@ class FamilyMatch:
     rotation: np.ndarray
 
 
-def match_family(channel: Channel, atol: float = TOLS.family_match) -> FamilyMatch | None:
+def match_family(channel: Channel) -> FamilyMatch | None:
     """Detect whether a channel belongs to the family, in any output basis.
 
     Checks that the images of |i⟩⟨i| for i < d−1 agree with a common pure
-    state within ``atol``, that the image of |d−1⟩⟨d−1| is truly mixed, and
-    that the whole channel matches the rebuilt family member within ``atol``
-    in Choi distance (which covers the total-decoherence requirement).
+    state within ``FAMILY_MATCH``, that the image of |d−1⟩⟨d−1| is truly
+    mixed, and that the whole channel matches the rebuilt family member
+    within ``FAMILY_MATCH`` in Choi distance (which covers the
+    total-decoherence requirement).
 
     Returns None if the channel is not in the family or fails a family
     precondition (e.g. d = 2 with zero overlap).
@@ -282,21 +283,21 @@ def match_family(channel: Channel, atol: float = TOLS.family_match) -> FamilyMat
         return None
     images = [apply(channel, projector(basis_state(d, i))) for i in range(d)]
     lam, vecs = eig_hermitian(images[0])
-    if lam[0] < 1.0 - TOLS.family_match:
+    if lam[0] < 1.0 - FAMILY_MATCH:
         return None
     phi = vecs[:, 0]
     pure_image = projector(phi)
-    if any(np.linalg.norm(images[i] - pure_image) > atol for i in range(d - 1)):
+    if any(np.linalg.norm(images[i] - pure_image) > FAMILY_MATCH for i in range(d - 1)):
         return None
     rho_mixed = images[d - 1]
-    if purity(rho_mixed) >= 1.0 - TOLS.pure_purity_gap:
+    if is_pure(rho_mixed):
         return None
 
     # Rebuild the family member around (phi, rho_mixed) in the original basis
     # and require global agreement, which checks total decoherence too.
     candidate = _family_channel(d, d_fin, phi, rho_mixed)
     dist = distance(channel, candidate)
-    if dist > atol:
+    if dist > FAMILY_MATCH:
         return None
 
     rotation = dagger(complete_unitary(phi))  # sends phi to |0'>

@@ -24,7 +24,7 @@ import numpy as np
 from .channels import Channel, ChoiMatrix, KrausSet, _choi_from_vecs, _vec
 from .linalg import as_complex_matrix, complete_unitary, eig_hermitian, is_unitary
 from .states import basis_state, projector, validate_density_matrix
-from .tolerances import TOLS
+from .tolerances import ENV_SPECTRUM_CUTOFF
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +102,7 @@ def _env_components(d: Dilation):
     """
     weights, vectors = eig_hermitian(d.env_state)
     for p, vec in zip(weights, vectors.T):
-        if p <= TOLS.env_spectrum_cutoff:
+        if p <= ENV_SPECTRUM_CUTOFF:
             continue
         columns = d.unitary @ np.kron(np.eye(d.d_in), vec[:, None])
         yield p, vec, _choi_from_vecs(_kraus_rows(columns, d.d_in, d.d_fin))

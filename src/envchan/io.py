@@ -17,7 +17,7 @@ import numpy as np
 from .channels import Channel, ChoiMatrix, KrausSet
 from .dilation import Dilation
 from .states import validate_density_matrix
-from .tolerances import TOLS
+from .tolerances import FILE
 
 FORMAT_VERSION = 1
 
@@ -30,7 +30,8 @@ def matrix_to_pairs(m) -> list:
 
 def matrix_from_pairs(obj) -> np.ndarray:
     """Decode a matrix written by :func:`matrix_to_pairs`. Entries must be
-    real numbers; booleans, a ``Real`` subclass, are rejected.
+    real numbers within float range; booleans, a ``Real`` subclass, are
+    rejected.
 
     Raises:
         ValueError: "malformed matrix" on any structural problem.
@@ -53,7 +54,10 @@ def matrix_from_pairs(obj) -> np.ndarray:
                 )
             ):
                 raise ValueError("malformed matrix")
-            entries.append(complex(pair[0], pair[1]))
+            try:
+                entries.append(complex(pair[0], pair[1]))
+            except OverflowError as exc:  # an integer too large for a float
+                raise ValueError("malformed matrix") from exc
         rows.append(entries)
     if width == 0:
         raise ValueError("malformed matrix")
@@ -63,7 +67,9 @@ def matrix_from_pairs(obj) -> np.ndarray:
 def _check_version(data: dict) -> None:
     if not isinstance(data, dict):
         raise ValueError("malformed file")
-    if data.get("format_version") != FORMAT_VERSION:
+    version = data.get("format_version")
+    # bool is an int subclass: true == 1 would otherwise pass.
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValueError("unsupported format version")
 
 
@@ -119,14 +125,10 @@ def channel_from_dict(data: dict) -> Channel:
         operators = tuple(matrix_from_pairs(op) for op in ops)
         if any(op.shape != (d_out, d_in) for op in operators):
             raise ValueError("shape mismatch")
-        return Channel.from_kraus(KrausSet(operators, atol=TOLS.file_roundtrip))
+        return Channel(KrausSet(operators, atol=FILE))
     if "choi" in data:
         matrix = matrix_from_pairs(data["choi"])
-        choi = ChoiMatrix(
-            d_in, d_out, matrix,
-            psd_atol=TOLS.file_roundtrip, tp_atol=TOLS.file_roundtrip,
-        )
-        return Channel.from_choi(choi)
+        return Channel.from_choi(ChoiMatrix(d_in, d_out, matrix, atol=FILE))
     raise ValueError("malformed file")
 
 
@@ -146,12 +148,7 @@ def state_from_dict(data: dict) -> np.ndarray:
     dim = _dimension(data, "dim")
     if matrix.shape != (dim, dim):
         raise ValueError("shape mismatch")
-    return validate_density_matrix(
-        matrix,
-        hermitian_atol=TOLS.file_roundtrip,
-        psd_atol=TOLS.file_roundtrip,
-        trace_atol=TOLS.file_roundtrip,
-    )
+    return validate_density_matrix(matrix, atol=FILE)
 
 
 def dilation_to_dict(d: Dilation) -> dict:
@@ -185,7 +182,10 @@ def save_json(data: dict, path: str) -> None:
 
 def load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except RecursionError as exc:  # nesting deeper than the parser allows
+            raise ValueError("malformed file") from exc
     if not isinstance(data, dict):
         raise ValueError("malformed file")
     return data

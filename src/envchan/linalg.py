@@ -12,7 +12,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .tolerances import TOLS
+from .tolerances import HERMITIAN_INPUT, UNITARY
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -30,19 +30,21 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def is_hermitian(m: np.ndarray, atol: float = TOLS.hermitian_check) -> bool:
+def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT) -> bool:
+    """Whether ``m`` is square and within ``atol`` of its conjugate
+    transpose in every entry."""
     m = np.asarray(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
         np.max(np.abs(m - m.conj().T), initial=0.0) <= atol
     )
 
 
-def is_unitary(m: np.ndarray, atol: float = TOLS.unitary) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= atol)
+    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= UNITARY)
 
 
 def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
@@ -82,7 +84,7 @@ def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
     return t.reshape(kept_side, kept_side)
 
 
-def eig_hermitian(m, atol: float = TOLS.hermitian_check):
+def eig_hermitian(m):
     """Eigendecomposition of a Hermitian matrix with a deterministic layout.
 
     Eigenvalues are returned in descending order. Each eigenvector's global
@@ -97,12 +99,12 @@ def eig_hermitian(m, atol: float = TOLS.hermitian_check):
 
     Raises:
         ValueError: "not hermitian" if ``m`` deviates from its conjugate
-            transpose by more than ``atol`` in any entry.
+            transpose by more than ``HERMITIAN_INPUT`` in any entry.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("shape mismatch")
-    if not is_hermitian(m, atol):
+    if not is_hermitian(m):
         raise ValueError("not hermitian")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     w = w[::-1].copy()
@@ -153,7 +155,7 @@ def complete_unitary(columns) -> np.ndarray:
     if k > n:
         raise ValueError("shape mismatch")
     gram = q.conj().T @ q
-    if np.max(np.abs(gram - np.eye(k)), initial=0.0) > TOLS.unitary:
+    if np.max(np.abs(gram - np.eye(k)), initial=0.0) > UNITARY:
         raise ValueError("columns not orthonormal")
 
     cols = [q[:, j] for j in range(k)]

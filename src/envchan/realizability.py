@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Integral
 from statistics import median
 
 import numpy as np
@@ -44,6 +45,14 @@ NUMERICAL_EVIDENCE_NOTE = (
 # written as products: 1e-6 * 1e-12 is not the double 1e-18, and seeded
 # search results depend on the exact ftol.
 _STEP_TOLERANCE = 1e-12
+
+
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer (booleans included) or is below 1."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
 
 
 def parameter_count(d: int, d_fin: int) -> int:
@@ -78,10 +87,8 @@ class SearchConfig:
     nonrealizable_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _check_count("restarts", self.restarts)
+        _check_count("max_iters", self.max_iters)
         if not 0 < self.realizable_threshold < self.nonrealizable_threshold:
             raise ValueError(
                 "realizable_threshold must be below nonrealizable_threshold"
@@ -338,14 +345,14 @@ def perturbation_experiment(
 
     Raises:
         ValueError: "radius too large" if radius ≥ 1 or is NaN; "radius
-            must be positive" if radius ≤ 0; "n_samples must be positive".
+            must be positive" if radius ≤ 0; "n_samples must be an integer"
+            or "n_samples must be positive".
     """
     if not radius < 1:
         raise ValueError("radius too large")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    _check_count("n_samples", n_samples)
 
     verdicts = []
     residuals = []

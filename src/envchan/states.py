@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_complex_matrix
-from .tolerances import TOLS
+from .linalg import as_complex_matrix, is_hermitian
+from .tolerances import DENSITY_MATRIX, PSD, PURE_PURITY_GAP, STATE_NORM
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
@@ -25,14 +25,13 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     return vec
 
 
-def validate_pure_state(vec, atol: float = TOLS.state_norm) -> np.ndarray:
-    """Coerce to a complex vector and check unit norm within ``atol``."""
+def validate_pure_state(vec) -> np.ndarray:
+    """Coerce to a complex vector and check unit norm within ``STATE_NORM``."""
     v = np.asarray(vec, dtype=complex)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("shape mismatch")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("matrix entries must be finite")
-    if abs(np.linalg.norm(v) - 1.0) > atol:
+    as_complex_matrix(v[None, :])  # rejects non-finite entries
+    if abs(np.linalg.norm(v) - 1.0) > STATE_NORM:
         raise ValueError("not normalized")
     return v
 
@@ -43,18 +42,12 @@ def projector(vec) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def validate_density_matrix(
-    rho,
-    *,
-    hermitian_atol: float = TOLS.hermitian,
-    psd_atol: float = TOLS.psd,
-    trace_atol: float = TOLS.trace,
-) -> np.ndarray:
+def validate_density_matrix(rho, *, atol: float = DENSITY_MATRIX) -> np.ndarray:
     """Coerce and validate a density matrix.
 
-    Checks, in order: squareness, hermiticity (entrywise within
-    ``hermitian_atol``), positive semidefiniteness (eigenvalues above
-    ``-psd_atol``), and unit trace (within ``trace_atol``).
+    Checks, in order: squareness, hermiticity (entrywise within ``atol``),
+    positive semidefiniteness (eigenvalues above ``-max(atol, PSD)``), and
+    unit trace (within ``atol``).
 
     Returns:
         The validated matrix as a complex ndarray.
@@ -62,12 +55,12 @@ def validate_density_matrix(
     m = as_complex_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValueError("shape mismatch")
-    if np.max(np.abs(m - m.conj().T), initial=0.0) > hermitian_atol:
+    if not is_hermitian(m, atol):
         raise ValueError("not hermitian")
     eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if eigenvalues.min(initial=0.0) < -psd_atol:
+    if eigenvalues.min(initial=0.0) < -max(atol, PSD):
         raise ValueError("not positive semidefinite")
-    if abs(np.trace(m).real - 1.0) > trace_atol or abs(np.trace(m).imag) > trace_atol:
+    if abs(np.trace(m).real - 1.0) > atol or abs(np.trace(m).imag) > atol:
         raise ValueError("trace not one")
     return m
 
@@ -78,9 +71,9 @@ def purity(rho) -> float:
     return float(np.real(np.trace(m @ m)))
 
 
-def is_pure(rho, gap: float = TOLS.pure_purity_gap) -> bool:
-    """Whether purity(rho) ≥ 1 − gap."""
-    return purity(rho) >= 1.0 - gap
+def is_pure(rho) -> bool:
+    """Whether purity(rho) ≥ 1 − PURE_PURITY_GAP."""
+    return purity(rho) >= 1.0 - PURE_PURITY_GAP
 
 
 def maximally_mixed(dim: int) -> np.ndarray:

@@ -154,7 +154,7 @@ class TestApply:
         for _ in range(10):
             ch = random_channel(3, 2, rng)
             out = apply(ch, random_density_matrix(3, rng))
-            validate_density_matrix(out, hermitian_atol=1e-10, trace_atol=1e-10)
+            validate_density_matrix(out, atol=1e-10)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -331,3 +331,31 @@ class TestErrorPaths:
         path.write_text("{not json", encoding="utf-8")
         code, _, err = run(capsys, "convert", str(path), "--to", "choi")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # An integer too large for a float: OverflowError in complex().
+            (lambda text: text.replace("1.0", "1" + "0" * 400, 1), "malformed matrix"),
+            # Nesting deeper than the JSON parser's recursion limit.
+            (
+                lambda text: text.replace('"kraus": [', '"kraus": ' + "[" * 100_000, 1)
+                .replace("]\n}", "]" * 100_000 + "\n}"),
+                "malformed file",
+            ),
+            # bool is an int subclass: true == 1.
+            (
+                lambda text: text.replace('"format_version": 1', '"format_version": true'),
+                "unsupported format version",
+            ),
+        ],
+        ids=["huge-integer", "deep-nesting", "boolean-version"],
+    )
+    def test_malformed_file_exits_two(self, capsys, identity_file, edit, message):
+        with open(identity_file, encoding="utf-8") as handle:
+            text = edit(handle.read())
+        with open(identity_file, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, _, err = run(capsys, "convert", identity_file, "--to", "choi")
+        assert code == 2
+        assert message in err

@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from envchan import (
+    ChoiMatrix,
     CounterexampleParams,
     Dilation,
+    KrausSet,
     build_counterexample,
     channel_from_dilation,
     distance,
     identity_channel,
     implementing_unitary,
+    mix,
     random_channel,
     random_density_matrix,
+    validate_density_matrix,
 )
 from envchan.io import (
     FORMAT_VERSION,
@@ -122,6 +126,71 @@ class TestStateFiles:
         data = state_to_dict(np.eye(2))
         with pytest.raises(ValueError, match="trace not one"):
             state_from_dict(data)
+
+
+# Identity channel on a qubit: C = vec(I) vec(I)†.
+IDENTITY_CHOI = np.outer([1, 0, 0, 1], [1, 0, 0, 1]).astype(complex)
+
+
+def _hermitian_defect(m, eps):
+    m = np.array(m, dtype=complex)
+    m[0, -1] += eps
+    return m
+
+
+# Each case: (representation, matrix off by eps, message on rejection).
+BAND_CASES = {
+    "kraus-tp": ("kraus", lambda eps: [np.sqrt(1 + eps) * np.eye(2)], "not trace preserving"),
+    "choi-tp": ("choi", lambda eps: (1 + eps) * IDENTITY_CHOI, "not trace preserving"),
+    "choi-hermitian": (
+        "choi", lambda eps: _hermitian_defect(IDENTITY_CHOI, eps), "not completely positive"
+    ),
+    # Smallest eigenvalue about -eps/2; the partial trace stays I.
+    "choi-psd": (
+        "choi", lambda eps: IDENTITY_CHOI + eps * np.diag([-1, 1, 0, 0]),
+        "not completely positive",
+    ),
+    "state-trace": ("state", lambda eps: np.diag([0.5 + eps, 0.5]), "trace not one"),
+    "state-hermitian": (
+        "state", lambda eps: _hermitian_defect(np.eye(2) / 2, eps), "not hermitian"
+    ),
+    "state-psd": ("state", lambda eps: np.diag([1 + eps, -eps]), "not positive semidefinite"),
+}
+
+
+def _band_file(kind, m) -> dict:
+    data = {"format_version": FORMAT_VERSION, "d_in": 2, "d_out": 2}
+    if kind == "kraus":
+        return {**data, "kind": "channel", "kraus": [matrix_to_pairs(op) for op in m]}
+    if kind == "choi":
+        return {**data, "kind": "choi", "choi": matrix_to_pairs(m)}
+    return {"format_version": FORMAT_VERSION, "kind": "state", "dim": 2,
+            "matrix": matrix_to_pairs(m)}
+
+
+@pytest.mark.parametrize("case", list(BAND_CASES))
+def test_file_tolerance_band(tmp_path, case):
+    # Loaded files are validated at 1e-8, in-process construction at 1e-10
+    # or tighter: a 5e-9 defect loads from a file only, and 1e-7 never does.
+    kind, perturbed, message = BAND_CASES[case]
+    load = state_from_dict if kind == "state" else channel_from_dict
+    construct = {
+        "kraus": lambda m: KrausSet(tuple(m)),
+        "choi": lambda m: ChoiMatrix(2, 2, m),
+        "state": validate_density_matrix,
+    }[kind]
+    path = tmp_path / "near.json"
+    save_json(_band_file(kind, perturbed(5e-9)), path)
+    loaded = load(load_json(path))
+    if kind != "state":  # derived channels keep the file tolerance
+        for derived in (choi_to_dict(loaded), channel_to_dict(loaded)):
+            assert distance(channel_from_dict(derived), loaded) < 1e-12
+        mix([loaded, identity_channel(2)], [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        construct(perturbed(5e-9))
+    save_json(_band_file(kind, perturbed(1e-7)), path)
+    with pytest.raises(ValueError, match=message):
+        load(load_json(path))
 
 
 class TestDilationFiles:

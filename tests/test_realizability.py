@@ -134,6 +134,18 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="below"):
             SearchConfig(realizable_threshold=1e-2, nonrealizable_threshold=1e-3)
 
+    @pytest.mark.parametrize("field", ["restarts", "max_iters"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, True])
+    def test_rejects_non_integer_counts(self, field, value):
+        # NaN passes a `< 1` check, 2.5 and 3.0 break `range`, and bool is
+        # an int subclass: none of them is a count.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        config = SearchConfig(restarts=np.int64(3), max_iters=np.int32(7))
+        assert (config.restarts, config.max_iters) == (3, 7)
+
 
 def finite_difference_error(x, target_choi, d, dp, grad, eps=1e-6):
     """Distance of ``grad`` from central differences of the objective,
@@ -316,6 +328,8 @@ class TestPerturbation:
             perturbation_experiment(center, 0.0, 2)
         with pytest.raises(ValueError, match="n_samples must be positive"):
             perturbation_experiment(center, 0.1, 0)
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            perturbation_experiment(center, 0.01, 2.5)
 
     def test_neighborhood_of_counterexample(self):
         center = build_counterexample(
