@@ -12,7 +12,8 @@ and is treated as a one-dimensional trivial factor internally.
 
 Which entry of U is which Kraus entry is stated in one place,
 :func:`_kraus_rows`; the channel of a dilation, the Stinespring construction
-and the realization searcher's index plan all derive from it.
+and the realization searcher's map from a Kraus set onto U's entries all
+derive from it.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _kraus_rows(columns: np.ndarray, d_in: int, d_fin: int) -> np.ndarray:
     rows ordered [initial a, final m, environment b]. Returns one row per
     (t, a, b) holding vec(E_{t,a,b}) in the input-major convention of the
     channels module. Applied to U's flat indices, it gives the layout as a
-    gather.
+    gather; the searcher scatters its Kraus sets into U's layout through it.
     """
     t = columns.reshape(d_in, d_fin, -1, d_in, columns.shape[1] // d_in)
     return t.transpose(4, 0, 2, 3, 1).reshape(-1, d_in * d_fin)

@@ -6,16 +6,18 @@ initializing the final system in Σᵢ pᵢ|i'⟩⟨i'| and tracing out the init
 system reproduces the channel? (Restricting the initial state to diagonal
 form loses nothing — a basis change is absorbed into U.)
 
-The searcher minimizes the Frobenius Choi distance over an unconstrained
-parametrization: U = exp(iH) with H Hermitian (n² real parameters,
-n = d·d_fin) and p = softmax(z) (d_fin reals), using L-BFGS-B with an
-analytic gradient, multi-restarted from seeded random points. The
-evaluator's index arrays (the Hermitian packing, and the Kraus layout taken
-from ``dilation._kraus_rows``) form a plan built once per (d, d_fin), so
-each objective call does only the arithmetic: one eigendecomposition and a
-handful of matmuls. Results carry a verdict against two thresholds;
-LIKELY_NOT_REALIZABLE is numerical evidence from a local search, never a
-proof.
+Such a realization is a Kraus set {F_{s,a}} (s < d_fin, a < d) of the
+channel with Σ_a F_{s,a}† F_{s',a} = p_s δ_{ss'} I_d, and every Kraus set of
+n = d·d_fin operators is F = W·E, with E the minimal Kraus set (κ operators)
+and W an n×κ isometry. The searcher therefore runs over W, the polar factor
+of a free complex n×κ matrix, so the target is matched by construction: it
+minimizes the squared distance of F's Gram matrix from the nearest
+I_d ⊗ diag(p), using L-BFGS-B with an analytic gradient, multi-restarted
+from seeded random points. Each restart's end point is decoded into a
+unitary and a spectrum, and its Choi distance to the target is re-checked
+through the dilation path; the re-checked residuals alone decide the early
+stop and the verdict, against two thresholds. LIKELY_NOT_REALIZABLE is
+numerical evidence from a local search, never a proof.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from statistics import median
 import numpy as np
 from scipy.optimize import minimize
 
-from .channels import Channel, distance, mix, random_channel
+from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
 from .dilation import Dilation, _kraus_rows, channel_from_dilation
 
 REALIZED = "REALIZED"
@@ -47,9 +49,14 @@ NUMERICAL_EVIDENCE_NOTE = (
 _STEP_TOLERANCE = 1e-12
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; booleans are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value) -> None:
     """Reject a count that is not an integer (booleans included) or is below 1."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer")
     if value < 1:
         raise ValueError(f"{name} must be positive")
@@ -62,7 +69,8 @@ def parameter_count(d: int, d_fin: int) -> int:
     Counted as: spectrum degrees of freedom (d_fin − 1), minus the basis
     freedom absorbed into U (d_fin − 1), plus the unitary group dimension
     (d²·d_fin² − 1, up to global phase), minus redundancy on the traced-out
-    input factor (d² − 1).
+    input factor (d² − 1). This is the problem's dimension, not the number
+    of reals the searcher optimizes over.
     """
     if d < 1 or d_fin < 1:
         raise ValueError("dimensions must be positive")
@@ -89,6 +97,8 @@ class SearchConfig:
     def __post_init__(self):
         _check_count("restarts", self.restarts)
         _check_count("max_iters", self.max_iters)
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not 0 < self.realizable_threshold < self.nonrealizable_threshold:
             raise ValueError(
                 "realizable_threshold must be below nonrealizable_threshold"
@@ -99,10 +109,11 @@ class SearchConfig:
 class SearchResult:
     """Best point found by the search.
 
-    ``best_residual`` is re-verified independently of the optimizer by
-    rebuilding the dilation and measuring the Choi distance to the target.
-    ``residual_history`` holds one best residual per restart actually run
-    (the loop stops early once a restart beats the realizable threshold).
+    ``residual_history`` holds, per restart actually run, the Choi distance
+    to the target of the dilation decoded from that restart's end point,
+    re-checked independently of the optimizer (the loop stops early once one
+    beats the realizable threshold). ``best_residual`` is the least of them,
+    and ``best_unitary``/``best_env_spectrum`` are its dilation.
     """
 
     verdict: str
@@ -112,125 +123,83 @@ class SearchResult:
     best_unitary: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """Index arrays of the evaluator for one (d, d_fin), n = d·d_fin.
-
-    ``diag``, ``upper`` and ``lower`` are flat indices into an n×n matrix:
-    its diagonal, its strict upper triangle in row-major order, and the
-    mirror of each upper entry. ``kraus`` gathers the flat unitary into the
-    (d_fin·d)×n matrix A of vectorized Kraus operators, in the layout of
-    ``dilation._kraus_rows``, and ``kraus_inv`` maps A's layout back onto U's.
-    """
-
-    n: int
-    diag: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    kraus: np.ndarray
-    kraus_inv: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _plan(d: int, dp: int) -> _Plan:
-    """The evaluator's index plan, built once per (d, d_fin) and shared
-    read-only by every call."""
+def _kraus_gather(d: int, dp: int) -> np.ndarray:
+    """Flat index into U of every entry of the Kraus rows A, in the layout of
+    ``dilation._kraus_rows``: A.ravel() == U.ravel()[gather]. Built once per
+    (d, d_fin) and shared read-only by every call."""
     n = d * dp
-    iu, ju = np.triu_indices(n, k=1)
-    flat = np.arange(n * n)
-    kraus = _kraus_rows(flat.reshape(n, n), d, dp).ravel()
-    kraus_inv = np.empty_like(kraus)
-    kraus_inv[kraus] = flat
-    arrays = (np.arange(n) * (n + 1), iu * n + ju, ju * n + iu, kraus, kraus_inv)
-    for a in arrays:
-        a.flags.writeable = False
-    return _Plan(n, *arrays)
+    gather = _kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel()
+    gather.flags.writeable = False
+    return gather
 
 
-def _pack_hermitian(x: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Hermitian matrix from the first n² reals of x: diagonal, then
-    upper-triangle re/im."""
-    n = plan.n
-    m = len(plan.upper)
-    h = np.zeros(n * n, dtype=complex)
-    h[plan.diag] = x[:n]
-    c = x[n : n + m] + 1j * x[n + m : n + 2 * m]
-    h[plan.upper] = c
-    h[plan.lower] = c.conj()
-    return h.reshape(n, n)
+def _kraus_columns(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+    """Decode x into (M, eigenpairs of M†M, (M†M)^{-1/2}, Fm).
 
-
-def _exp_i_hermitian(h: np.ndarray):
-    """(exp(iH), eigenvalues, eigenvectors V, V†, exp(i·eigenvalues))."""
-    w, v = np.linalg.eigh(h)
-    vh = v.conj().T
-    eiw = np.exp(1j * w)
-    return (v * eiw) @ vh, w, v, vh, eiw
-
-
-def _dexp_divided_differences(w: np.ndarray, eiw: np.ndarray) -> np.ndarray:
-    """First divided differences of t ↦ exp(it) on the eigenvalue grid:
-    Φ_kl = (e^{iw_k} − e^{iw_l})/(w_k − w_l), with i·e^{iw_k} on coincidence.
+    x holds the real, then the imaginary parts of a free n×κ matrix M
+    (n = d·dp, κ = len(kraus)). Its polar factor W = M(M†M)^{-1/2} is an
+    isometry, so F = W·E is a Kraus set of the target for every x; Fm holds
+    F in U's layout, one column per input |i, s⟩.
     """
-    dw = w[:, None] - w[None, :]
-    same = np.abs(dw) <= 1e-12
-    quotient = (eiw[:, None] - eiw[None, :]) / np.where(same, 1.0, dw)
-    return np.where(same, 1j * eiw[:, None], quotient)
+    n = d * dp
+    half = n * len(kraus)
+    m = (x[:half] + 1j * x[half:]).reshape(n, -1)
+    sigma, v = np.linalg.eigh(m.conj().T @ m)
+    q = (v / np.sqrt(sigma)) @ v.conj().T
+    fm = np.empty(n * n, dtype=complex)
+    fm[_kraus_gather(d, dp)] = (m @ q @ kraus).ravel()
+    return m, sigma, v, q, fm.reshape(n, n)
 
 
-def _objective_and_grad(x: np.ndarray, target_choi: np.ndarray, d: int, dp: int):
-    """Squared Choi distance of the parametrized dilation to the target,
-    with its exact gradient.
+def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
+    """p_s = tr(G_ss)/d: the I_d ⊗ diag(p) closest to G = Fm†Fm."""
+    return g.diagonal().real.reshape(d, dp).sum(axis=0) / d
 
-    Parameters are n² reals for H (U = exp(iH), n = d·dp) followed by dp
-    reals for the softmax spectrum. The gradient through exp(iH) uses the
-    eigendecomposition and first divided differences; the gradient through
-    softmax is the standard Jacobian-vector product. The index arrays come
-    from ``_plan``, built once per (d, dp) and cached, so a call does only
-    the arithmetic.
+
+def _objective_and_grad(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+    """‖G − I_d ⊗ diag(p)‖² for G = Fm†Fm and p = ``_spectrum(G)``, with its
+    exact gradient in x.
+
+    ``kraus`` holds the rows vec(E_j) of the target's minimal Kraus set; see
+    ``_kraus_columns`` for x. The value is zero exactly when Fm's columns,
+    scaled by 1/√p_s, are orthonormal: then they are columns of a unitary
+    that realizes the target with spectrum p.
     """
-    plan = _plan(d, dp)
-    n = plan.n
-    nh = n * n
-    h = _pack_hermitian(x, plan)
-    z = x[nh:]
-    ez = np.exp(z - z.max())
-    p = ez / ez.sum()
-    p_rep = p.repeat(d)[:, None]
+    n = d * dp
+    m, sigma, v, q, fm = _kraus_columns(x, kraus, d, dp)
+    r = fm.conj().T @ fm
+    r[np.diag_indices(n)] -= np.tile(_spectrum(r, d, dp), d)
+    value = np.vdot(r, r).real
 
-    u, w, v, vh, eiw = _exp_i_hermitian(h)
-    # Row (s, a) of A is the vectorized Kraus operator for environment
-    # eigenvector s and traced-out initial index a.
-    a = u.ravel()[plan.kraus].reshape(dp * d, n)
-    a_conj = a.conj()
-    choi = a.T @ (p_rep * a_conj)
-    diff = choi - target_choi
-    value = np.vdot(diff, diff).real
-
-    wv = a @ diff.T
-    q = 2.0 * (a_conj * wv).real.sum(axis=1).reshape(dp, d).sum(axis=1)
-    grad = np.empty(nh + dp)
-    grad[nh:] = p * (q - np.dot(q, p))
-
-    # p·wv in U's layout; the factor 4 belongs to dF/dH.
-    g = (4.0 * p_rep * wv).ravel()[plan.kraus_inv].reshape(n, n)
-    phi = _dexp_divided_differences(w, eiw)
-    gh = (v @ (np.conj(phi) * (vh @ g @ v)) @ vh).ravel()
-    # Chain rule from dF/dH* onto the diagonal and upper-triangle re/im.
-    re, im = gh.real, gh.imag
-    m = len(plan.upper)
-    grad[:n] = re[plan.diag]
-    grad[n : n + m] = re[plan.lower] + re[plan.upper]
-    grad[n + m : nh] = im[plan.upper] - im[plan.lower]
-    return value, grad
+    # Gradients Γ with df = Re⟨Γ, dZ⟩. p is a projection of G, so only R
+    # carries through: Γ_Fm = 4·Fm·R, then back through the gather and E.
+    gamma_w = (4.0 * fm @ r).ravel()[_kraus_gather(d, dp)].reshape(n, n)
+    gamma_w = gamma_w @ kraus.conj().T
+    # Through W = M·S^{-1/2}, S = M†M: d(S^{-1/2}) = V(Φ ∘ V†dS V)V† with
+    # Φ_kl = (σ_k^{-1/2} − σ_l^{-1/2})/(σ_k − σ_l), closed form below.
+    root = np.sqrt(sigma)
+    phi = -1.0 / (root[:, None] * root * (root[:, None] + root))
+    b = v.conj().T @ (gamma_w.conj().T @ m) @ v
+    gamma_m = gamma_w @ q + m @ (v @ (phi * (b + b.conj().T)) @ v.conj().T)
+    return value, np.concatenate([gamma_m.real.ravel(), gamma_m.imag.ravel()])
 
 
-def _decode_point(x: np.ndarray, d: int, dp: int):
-    plan = _plan(d, dp)
-    u = _exp_i_hermitian(_pack_hermitian(x, plan))[0]
-    z = x[plan.n * plan.n :]
-    ez = np.exp(z - z.max())
-    return u, ez / ez.sum()
+def _decode_point(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+    """The realization (U, p) that x encodes: p = ``_spectrum(G)`` and U the
+    polar factor of Fm with column (i, s) scaled by 1/√p_s. Columns with
+    p_s = 0 are left zero; the polar factor completes them. p is normalized
+    because E lacks the Choi eigenvalues below the Kraus rank cutoff."""
+    fm = _kraus_columns(x, kraus, d, dp)[-1]
+    p = _spectrum(fm.conj().T @ fm, d, dp)
+    scale = np.divide(1.0, np.sqrt(p), out=np.zeros(dp), where=p > 0)
+    left, _, right = np.linalg.svd(fm * np.tile(scale, d))
+    return left @ right, p / p.sum()
+
+
+def _minimal_kraus_rows(target: Channel) -> np.ndarray:
+    """Rows vec(E_j) of the target's minimal Kraus set."""
+    return np.stack([_vec(op) for op in choi_to_kraus(target.choi).operators])
 
 
 def realization_residual(target: Channel, unitary: np.ndarray, spectrum) -> float:
@@ -255,18 +224,16 @@ def search_mixed_env_realization(
     realization of ``target``.
 
     Deterministic given the config: restart r draws its start point from
-    ``default_rng([config.seed, r])``. Restarts stop early once the
-    realizable threshold is beaten — later restarts could only confirm the
-    verdict. The reported best residual is recomputed through the dilation
-    path rather than trusted from the optimizer.
+    ``default_rng([config.seed, r])``. Each restart's residual is recomputed
+    through the dilation path rather than trusted from the optimizer, and
+    restarts stop early once one beats the realizable threshold — later
+    restarts could only confirm the verdict.
     """
     d, dp = target.d_in, target.d_out
-    n = d * dp
-    n_params = n * n + dp
-    target_choi = target.choi.matrix
+    kraus = _minimal_kraus_rows(target)
+    n_params = 2 * d * dp * len(kraus)
 
-    best_value = np.inf
-    best_x = None
+    best = None
     history = []
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])
@@ -274,7 +241,7 @@ def search_mixed_env_realization(
         res = minimize(
             _objective_and_grad,
             x0,
-            args=(target_choi, d, dp),
+            args=(kraus, d, dp),
             jac=True,
             method="L-BFGS-B",
             options={
@@ -283,16 +250,15 @@ def search_mixed_env_realization(
                 "gtol": 1e-4 * _STEP_TOLERANCE,
             },
         )
-        value = float(res.fun)
-        history.append(float(np.sqrt(max(value, 0.0))))
-        if best_x is None or value < best_value:
-            best_value = value
-            best_x = res.x
-        if np.sqrt(max(best_value, 0.0)) < config.realizable_threshold:
+        unitary, spectrum = _decode_point(res.x, kraus, d, dp)
+        residual = float(realization_residual(target, unitary, spectrum))
+        history.append(residual)
+        if best is None or residual < best[0]:
+            best = (residual, unitary, spectrum)
+        if residual < config.realizable_threshold:
             break
 
-    unitary, spectrum = _decode_point(best_x, d, dp)
-    best_residual = float(realization_residual(target, unitary, spectrum))
+    best_residual, unitary, spectrum = best
     if best_residual < config.realizable_threshold:
         verdict = REALIZED
     elif best_residual > config.nonrealizable_threshold:

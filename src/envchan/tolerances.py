@@ -3,10 +3,9 @@
 Every threshold that decides whether an input is accepted, or whether a
 numerical value counts as zero, is one of the named constants below, so the
 thresholds are documented in one place and the same value is used everywhere
-a given kind of check appears. Two 1e-12 literals stay local because they
-only fix a layout or pick a formula, never a verdict: the phase and
-degenerate-block ordering in ``linalg.eig_hermitian``, and the coincidence
-test in ``realizability._dexp_divided_differences``.
+a given kind of check appears. One 1e-12 literal stays local because it
+only fixes a layout, never a verdict: the phase and degenerate-block
+ordering in ``linalg.eig_hermitian``.
 """
 
 # Entrywise bound for density-matrix hermiticity and unit trace.

@@ -1,5 +1,6 @@
 """Tests for the parameter count, the mixed-environment realization search
-(including its analytic gradient), and the perturbation experiment."""
+(its evaluator's gradient and decoding included), and the perturbation
+experiment."""
 
 import numpy as np
 import pytest
@@ -13,18 +14,20 @@ from envchan import (
     SearchConfig,
     build_counterexample,
     channel_from_dilation,
+    distance,
     identity_channel,
     parameter_count,
     perturbation_experiment,
+    random_channel,
     realization_residual,
     search_mixed_env_realization,
 )
 import envchan.realizability as realizability
+from envchan.dilation import _kraus_rows
 from envchan.realizability import (
     _decode_point,
+    _minimal_kraus_rows,
     _objective_and_grad,
-    _pack_hermitian,
-    _plan,
 )
 
 
@@ -48,50 +51,24 @@ def realizable_target(d, dp, rng):
     return channel_from_dilation(dil)
 
 
-def _reference_objective_and_grad(x, target_choi, d, dp):
-    """The evaluator in its einsum formulation, with index arrays rebuilt on
-    every call: the reference ``_objective_and_grad`` is checked against."""
-    n = d * dp
-    nh = n * n
-    iu = np.triu_indices(n, k=1)
-    il = (iu[1], iu[0])
-    m = len(iu[0])
-    h = np.zeros((n, n), dtype=complex)
-    h[np.diag_indices(n)] = x[:n]
-    h[iu] = x[n : n + m] + 1j * x[n + m : nh]
-    h[il] = x[n : n + m] - 1j * x[n + m : nh]
-    z = x[nh:]
-    ez = np.exp(z - z.max())
-    p = ez / ez.sum()
-
-    w, v = np.linalg.eigh(h)
-    eiw = np.exp(1j * w)
-    u = (v * eiw) @ v.conj().T
-    # vecs[s, a, (i·dp + m)] = U[(a, m), (i, s)]
-    vecs = np.transpose(u.reshape(d, dp, d, dp), (3, 0, 2, 1)).reshape(dp, d, n)
-    choi = np.einsum("s,sav,saw->vw", p, vecs, vecs.conj())
-    diff = choi - target_choi
-    value = float(np.real(np.einsum("vw,vw->", diff.conj(), diff)))
-
-    wv = np.einsum("vw,saw->sav", diff, vecs)
-    q = 2.0 * np.real(np.einsum("sav,sav->s", vecs.conj(), wv))
-    grad_z = p * (q - np.dot(q, p))
-
-    g4 = np.einsum("s,sav->sav", p, wv).reshape(dp, d, d, dp)
-    g = np.transpose(g4, (1, 3, 2, 0)).reshape(n, n)
-    dw = w[:, None] - w[None, :]
-    same = np.abs(dw) <= 1e-12
-    phi = (eiw[:, None] - eiw[None, :]) / np.where(same, 1.0, dw)
-    phi[same] = (1j * np.broadcast_to(eiw[:, None], phi.shape))[same]
-    gh = v @ (np.conj(phi) * (v.conj().T @ g @ v)) @ v.conj().T
-    grad_h = 4.0 * np.concatenate(
-        [
-            np.real(np.diagonal(gh)),
-            np.real(gh[il] + gh[iu]),
-            np.real(1j * gh[il] - 1j * gh[iu]),
-        ]
+def realizable_point(d, dp, spectrum, rng):
+    """A target with a known dilation (Haar U, ``spectrum``), its Kraus rows
+    and the evaluator's point x for that dilation: F_{s,a} = √p_s·K_{s,a},
+    written as W·E with W = A·E⁺."""
+    unitary = haar_unitary(d * dp, rng)
+    target = channel_from_dilation(
+        Dilation(
+            d_in=d,
+            d_fin=dp,
+            d_env=0,
+            unitary=unitary,
+            env_state=np.diag(spectrum).astype(complex),
+        )
     )
-    return value, np.concatenate([grad_h, grad_z])
+    kraus = _minimal_kraus_rows(target)
+    rows = np.sqrt(np.repeat(spectrum, d))[:, None] * _kraus_rows(unitary, d, dp)
+    w = rows @ np.linalg.pinv(kraus)
+    return target, kraus, np.concatenate([w.real.ravel(), w.imag.ravel()])
 
 
 class TestParameterCount:
@@ -146,16 +123,27 @@ class TestSearchConfig:
         config = SearchConfig(restarts=np.int64(3), max_iters=np.int32(7))
         assert (config.restarts, config.max_iters) == (3, 7)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, float("nan"), True, -1])
+    def test_rejects_bad_seed(self, seed):
+        # numpy's default_rng would raise TypeError on the non-integers and
+        # ValueError on -1, mid-search; the config rejects them up front.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SearchConfig(seed=seed)
 
-def finite_difference_error(x, target_choi, d, dp, grad, eps=1e-6):
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(5), np.uint32(2**32 - 1)])
+    def test_accepts_integer_seeds(self, seed):
+        assert SearchConfig(seed=seed).seed == seed
+
+
+def finite_difference_error(x, kraus, d, dp, grad, eps=1e-6):
     """Distance of ``grad`` from central differences of the objective,
     relative to the larger of their norm and 1."""
     fd = np.empty(len(x))
     for k in range(len(x)):
         step = np.zeros(len(x))
         step[k] = eps
-        up, _ = _objective_and_grad(x + step, target_choi, d, dp)
-        down, _ = _objective_and_grad(x - step, target_choi, d, dp)
+        up, _ = _objective_and_grad(x + step, kraus, d, dp)
+        down, _ = _objective_and_grad(x - step, kraus, d, dp)
         fd[k] = (up - down) / (2 * eps)
     return np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0)
 
@@ -167,68 +155,64 @@ class TestGradient:
         rng = np.random.default_rng(7)
         for d, dp in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]:
             target = realizable_target(d, dp, rng)
-            x = rng.normal(size=(d * dp) ** 2 + dp)
-            value, grad = _objective_and_grad(x, target.choi.matrix, d, dp)
+            kraus = _minimal_kraus_rows(target)
+            assert len(kraus) == d * dp
+            x = rng.normal(size=2 * d * dp * len(kraus))
+            value, grad = _objective_and_grad(x, kraus, d, dp)
             assert value >= 0.0
-            assert finite_difference_error(x, target.choi.matrix, d, dp, grad) < 1e-6
+            assert finite_difference_error(x, kraus, d, dp, grad) < 1e-6
 
-    @pytest.mark.parametrize("d, dp", [(2, 2), (3, 2)])
-    def test_degenerate_spectrum(self, d, dp):
-        # At H = 0 every eigenvalue coincides; the second point has H with a
-        # repeated eigenvalue, so the divided differences also take their
-        # coincidence limit off the diagonal.
-        rng = np.random.default_rng([14, d, dp])
-        n = d * dp
-        target = realizable_target(d, dp, rng)
-        w = rng.normal(size=n)
-        w[1] = w[0]
-        q = haar_unitary(n, rng)
-        h = (q * w) @ q.conj().T
-        iu = np.triu_indices(n, k=1)
-        packed = np.concatenate([h.diagonal().real, h[iu].real, h[iu].imag])
-        spectrum = np.linalg.eigvalsh(_pack_hermitian(packed, _plan(d, dp)))
-        assert np.sum(np.diff(spectrum) <= 1e-12) == 1
-        for h_part in (np.zeros(n * n), packed):
-            x = np.concatenate([h_part, rng.normal(size=dp)])
-            value, grad = _objective_and_grad(x, target.choi.matrix, d, dp)
-            ref_value, ref_grad = _reference_objective_and_grad(
-                x, target.choi.matrix, d, dp
-            )
-            assert abs(value - ref_value) <= 1e-12 * ref_value
-            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
-            assert finite_difference_error(x, target.choi.matrix, d, dp, grad) < 1e-6
+    @pytest.mark.parametrize(
+        "target",
+        [
+            identity_channel(2),
+            identity_channel(3),
+            random_channel(2, 2, np.random.default_rng(15), kraus_rank=2),
+        ],
+        ids=["identity-2", "identity-3", "rank-2"],
+    )
+    def test_matches_finite_differences_below_full_rank(self, target):
+        # With κ < n, W is a tall isometry and M†M is κ×κ.
+        d, dp = target.d_in, target.d_out
+        kraus = _minimal_kraus_rows(target)
+        assert len(kraus) < d * dp
+        rng = np.random.default_rng([16, d, len(kraus)])
+        x = rng.normal(size=2 * d * dp * len(kraus))
+        value, grad = _objective_and_grad(x, kraus, d, dp)
+        assert value > 0.0
+        assert finite_difference_error(x, kraus, d, dp, grad) < 1e-6
 
+
+class TestDecode:
     @pytest.mark.parametrize("d, dp", [(2, 2), (2, 3), (3, 2), (3, 3)])
-    def test_value_is_squared_residual(self, d, dp):
-        # The evaluator's gather and the dilation path share the Kraus layout;
-        # its value must be the square of the independent re-check's residual.
-        rng = np.random.default_rng([13, d, dp])
-        target = realizable_target(d, dp, rng)
-        for _ in range(3):
-            x = rng.normal(size=(d * dp) ** 2 + dp)
-            value, _ = _objective_and_grad(x, target.choi.matrix, d, dp)
-            residual = realization_residual(target, *_decode_point(x, d, dp))
-            assert value == pytest.approx(residual**2, rel=1e-12, abs=0)
+    def test_known_dilation_is_a_zero(self, d, dp):
+        # A dilation of the target is a zero of the evaluator, and decoding
+        # it gives a realization the independent re-check accepts.
+        rng = np.random.default_rng([17, d, dp])
+        spectrum = rng.dirichlet(np.ones(dp))
+        target, kraus, x = realizable_point(d, dp, spectrum, rng)
+        value, grad = _objective_and_grad(x, kraus, d, dp)
+        assert value < 1e-26
+        assert np.linalg.norm(grad) < 1e-12
+        unitary, decoded = _decode_point(x, kraus, d, dp)
+        np.testing.assert_allclose(decoded, spectrum, atol=1e-12)
+        assert realization_residual(target, unitary, decoded) < 1e-12
 
-    def test_pack_hermitian(self):
-        rng = np.random.default_rng(8)
-        h = _pack_hermitian(rng.normal(size=9), _plan(3, 1))
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
-
-    @pytest.mark.parametrize("d, dp", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
-    def test_matches_reference(self, d, dp):
-        # Matmuls reassociate the einsum sums, so agreement is to roundoff,
-        # not bit for bit.
-        rng = np.random.default_rng([12, d, dp])
-        for _ in range(5):
-            target = realizable_target(d, dp, rng)
-            x = rng.normal(size=(d * dp) ** 2 + dp)
-            value, grad = _objective_and_grad(x, target.choi.matrix, d, dp)
-            ref_value, ref_grad = _reference_objective_and_grad(
-                x, target.choi.matrix, d, dp
-            )
-            assert abs(value - ref_value) <= 1e-12 * ref_value
-            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+    def test_pure_initialization_decodes_to_unitary(self):
+        # p_1 = 0 leaves Fm's s = 1 columns exactly zero; decoding must not
+        # divide by zero, and the polar factor completes those columns.
+        rng = np.random.default_rng(18)
+        target, kraus, x = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
+        unitary, spectrum = _decode_point(x, kraus, 2, 2)
+        assert spectrum[1] == 0.0
+        dilation = Dilation(
+            d_in=2,
+            d_fin=2,
+            d_env=0,
+            unitary=unitary,
+            env_state=np.diag(spectrum).astype(complex),
+        )
+        assert distance(channel_from_dilation(dilation), target) < 1e-12
 
 
 class TestSearch:
@@ -282,10 +266,12 @@ class TestSearch:
         assert more.best_residual <= few.best_residual + 1e-12
 
     def test_traced_layer_names_are_called(self, monkeypatch):
-        # The benchmark traces the objective and each restart by rebinding
-        # these two module-level names; the search must call through them.
-        calls = {"objective": 0, "maxiter": []}
+        # The benchmark traces the objective, each restart and each re-check
+        # by rebinding these module-level names; the search must call
+        # through them, re-checking once per restart run.
+        calls = {"objective": 0, "maxiter": [], "recheck": 0}
         objective, minimize = realizability._objective_and_grad, realizability.minimize
+        recheck = realizability.realization_residual
 
         def counted_objective(*args):
             calls["objective"] += 1
@@ -295,7 +281,12 @@ class TestSearch:
             calls["maxiter"].append(kwargs["options"]["maxiter"])
             return minimize(*args, **kwargs)
 
+        def counted_recheck(*args):
+            calls["recheck"] += 1
+            return recheck(*args)
+
         monkeypatch.setattr(realizability, "_objective_and_grad", counted_objective)
+        monkeypatch.setattr(realizability, "realization_residual", counted_recheck)
         monkeypatch.setattr(realizability, "minimize", counted_minimize)
         target = build_counterexample(
             CounterexampleParams(2, 2, np.diag([0.5, 0.5]))
@@ -306,6 +297,25 @@ class TestSearch:
         assert len(result.residual_history) == 2
         assert calls["maxiter"] == [40, 40]
         assert calls["objective"] > 2
+        assert calls["recheck"] == 2
+
+    @pytest.mark.parametrize(
+        "target, verdict",
+        [
+            (identity_channel(2), REALIZED),
+            (
+                build_counterexample(CounterexampleParams(2, 2, np.diag([0.5, 0.5]))),
+                LIKELY_NOT_REALIZABLE,
+            ),
+        ],
+        ids=["realized", "likely-not-realizable"],
+    )
+    def test_best_residual_is_least_of_history(self, target, verdict):
+        # Every history entry is a re-checked residual, and the best one is
+        # the result's, exactly.
+        result = search_mixed_env_realization(target, SearchConfig(restarts=3))
+        assert result.verdict == verdict
+        assert min(result.residual_history) == result.best_residual
 
     def test_reported_residual_is_reverified(self):
         rng = np.random.default_rng(11)
