@@ -42,7 +42,6 @@ from .dilation import (
 )
 from .linalg import (
     complete_unitary,
-    dagger,
     eig_hermitian,
     is_hermitian,
     is_unitary,
@@ -101,7 +100,6 @@ __all__ = [
     "channel_from_dilation",
     "choi_to_kraus",
     "complete_unitary",
-    "dagger",
     "decompose_mixed_env",
     "distance",
     "eig_hermitian",

@@ -18,7 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_complex_matrix, dagger, eig_hermitian, is_hermitian, partial_trace
+from .linalg import (
+    _is_integer, as_complex_matrix, eig_hermitian, is_hermitian, partial_trace,
+)
 from .tolerances import CHANNEL, DISTRIBUTION, EXTREMAL_RANK, KRAUS_RANK_CUTOFF
 
 
@@ -65,7 +67,7 @@ class KrausSet:
         shape = ops[0].shape
         if any(op.shape != shape for op in ops):
             raise ValueError("shape mismatch")
-        total = sum(dagger(op) @ op for op in ops)
+        total = sum(op.conj().T @ op for op in ops)
         if np.max(np.abs(total - np.eye(shape[1]))) > self.atol:
             raise ValueError("not trace preserving")
         object.__setattr__(self, "operators", ops)
@@ -89,7 +91,8 @@ class ChoiMatrix:
     ``atol`` is kept for :func:`choi_to_kraus`, as ``KrausSet.atol`` is.
 
     Raises:
-        ValueError: "shape mismatch" if the matrix side is not d_in·d_out;
+        ValueError: "shape mismatch" if a dimension is not a positive
+            integer or the matrix side is not d_in·d_out;
             "not completely positive" if the matrix is not Hermitian PSD
             within ``atol``; "not trace preserving" if the partial trace over
             the output factor deviates from I_{d_in} by more than ``atol``.
@@ -101,7 +104,7 @@ class ChoiMatrix:
     atol: float = CHANNEL
 
     def __post_init__(self):
-        if self.d_in < 1 or self.d_out < 1:
+        if not all(_is_integer(n) and n >= 1 for n in (self.d_in, self.d_out)):
             raise ValueError("shape mismatch")
         m = as_complex_matrix(self.matrix)
         side = self.d_in * self.d_out
@@ -184,7 +187,7 @@ def apply(ch: Channel, rho) -> np.ndarray:
         raise ValueError("shape mismatch")
     out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
     for op in ch.kraus.operators:
-        out += op @ rho @ dagger(op)
+        out += op @ rho @ op.conj().T
     return out
 
 
@@ -245,7 +248,7 @@ def is_extremal(k: KrausSet) -> bool:
     values above ``EXTREMAL_RANK``) against len(k)².
     """
     ops = k.operators
-    products = [dagger(a) @ b for a in ops for b in ops]
+    products = [a.conj().T @ b for a in ops for b in ops]
     stacked = np.stack([p.reshape(-1) for p in products])
     singular_values = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(singular_values > EXTREMAL_RANK))
@@ -265,10 +268,11 @@ def random_channel(
     to d_in·d_out (a generic, full-Choi-rank channel).
 
     Raises:
-        ValueError: "dimensions must be positive" if d_in or d_out is below
-            1; "kraus rank too small" if the rank cannot give an isometry.
+        ValueError: "dimensions must be positive" unless d_in and d_out are
+            integers ≥ 1; "kraus rank too small" if the rank cannot give an
+            isometry.
     """
-    if d_in < 1 or d_out < 1:
+    if not all(_is_integer(n) and n >= 1 for n in (d_in, d_out)):
         raise ValueError("dimensions must be positive")
     if kraus_rank is None:
         kraus_rank = d_in * d_out

@@ -7,7 +7,7 @@ errors go to standard error.
 Exit codes:
     0  success (including certificate NOT_REALIZABLE and search REALIZED)
     2  invalid input: bad flags, malformed files, failed validation
-    3  certificate INCONCLUSIVE
+    3  certificate INCONCLUSIVE (the channel is not in the family)
     4  search verdict LIKELY_NOT_REALIZABLE
     5  search verdict UNDECIDED
 
@@ -29,7 +29,6 @@ from . import io
 from .channels import Channel, apply, random_channel
 from .counterexample import (
     INCONCLUSIVE,
-    NOT_REALIZABLE,
     CounterexampleParams,
     build_counterexample,
     certify_nonrealizable,
@@ -46,8 +45,6 @@ from .realizability import (
     perturbation_experiment,
     search_mixed_env_realization,
 )
-
-DEFAULT_SEED = 0
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -135,12 +132,7 @@ def _counterexample_params(args) -> CounterexampleParams:
 
 
 def _search_config(args) -> SearchConfig:
-    kwargs = {"seed": args.seed}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.max_iters is not None:
-        kwargs["max_iters"] = args.max_iters
-    return SearchConfig(**kwargs)
+    return SearchConfig(seed=args.seed, restarts=args.restarts, max_iters=args.max_iters)
 
 
 def _load_channel(path: str) -> Channel:
@@ -184,12 +176,11 @@ def cmd_certify(args, argv_echo) -> int:
         params = match.params
     else:
         params = _counterexample_params(args)
-    cert = certify_nonrealizable(params)
-    results = _jsonable(cert)
+    results = _jsonable(certify_nonrealizable(params))
     if membership is not None:
         results["membership"] = membership
     _emit(_report("certify", argv_echo, None, results, started), args.out)
-    return 0 if cert.claim == NOT_REALIZABLE else 3
+    return 0
 
 
 def cmd_search(args, argv_echo) -> int:
@@ -265,14 +256,21 @@ def build_parser() -> argparse.ArgumentParser:
             "eigenvectors for --rho-target",
         )
 
-    def add_search_flags(p):
+    def add_seed(p):
         p.add_argument(
-            "--seed", type=int, default=DEFAULT_SEED,
+            "--seed", type=int, default=SearchConfig.seed,
             help="RNG seed (default %(default)s)",
         )
-        p.add_argument("--restarts", type=int, help="search restarts (default 50)")
+
+    def add_search_flags(p):
+        add_seed(p)
         p.add_argument(
-            "--max-iters", type=int, help="optimizer iterations per restart (default 2000)"
+            "--restarts", type=int, default=SearchConfig.restarts,
+            help="search restarts (default %(default)s)",
+        )
+        p.add_argument(
+            "--max-iters", type=int, default=SearchConfig.max_iters,
+            help="optimizer iterations per restart (default %(default)s)",
         )
 
     build = sub.add_parser("build", help="construct a channel file")
@@ -287,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     rnd.add_argument("--d", type=int, required=True)
     rnd.add_argument("--d-fin", type=int, required=True)
     rnd.add_argument("--kraus-rank", type=int, help="default d*d_fin")
-    rnd.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default %(default)s)"
-    )
+    add_seed(rnd)
     add_out(rnd)
     rnd.set_defaults(func=cmd_build)
 

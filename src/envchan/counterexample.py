@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply, distance
+from .channels import Channel, _frozen_copy, apply, distance
 from .dilation import Dilation
-from .linalg import complete_unitary, dagger, eig_hermitian
+from .linalg import _is_integer, complete_unitary, eig_hermitian
 from .states import basis_state, is_pure, projector, purity, validate_density_matrix
 from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
 
@@ -42,10 +42,15 @@ class CounterexampleParams:
             matrix with purity < 1 − 1e-10; for d = 2 it must additionally
             satisfy ⟨0'|ρ'|0'⟩ > 1e-10.
 
+    These are the only checks of the family's preconditions; ``rho_target``
+    is stored as a read-only copy, so they hold for the object's lifetime.
+
     Raises:
-        ValueError: "target image must be mixed" if rho_target is pure;
-            "d=2 requires overlap with |0'⟩" if d == 2 and ⟨0'|ρ'|0'⟩
-            vanishes; "shape mismatch" on dimension errors.
+        ValueError: "dimensions must be integers" or "dimensions must be at
+            least 2" on bad dimensions; "shape mismatch" if rho_target is
+            not d_fin × d_fin; "target image must be mixed" if rho_target
+            is pure; "d=2 requires overlap with |0'⟩" if d == 2 and
+            ⟨0'|ρ'|0'⟩ vanishes.
     """
 
     d: int
@@ -53,11 +58,11 @@ class CounterexampleParams:
     rho_target: np.ndarray
 
     def __post_init__(self):
-        if int(self.d) != self.d or int(self.d_fin) != self.d_fin:
+        if not (_is_integer(self.d) and _is_integer(self.d_fin)):
             raise ValueError("dimensions must be integers")
         if self.d < 2 or self.d_fin < 2:
             raise ValueError("dimensions must be at least 2")
-        rho = validate_density_matrix(self.rho_target)
+        rho = _frozen_copy(validate_density_matrix(self.rho_target))
         if rho.shape != (self.d_fin, self.d_fin):
             raise ValueError("shape mismatch")
         object.__setattr__(self, "rho_target", rho)
@@ -143,7 +148,8 @@ def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> D
 class NonRealizabilityCertificate:
     """Outcome of the analytic argument, with an auditable narrative.
 
-    ``claim`` is NOT_REALIZABLE or INCONCLUSIVE. The numeric fields document
+    ``claim`` is always NOT_REALIZABLE; only the CLI reports INCONCLUSIVE,
+    for a channel outside the family. The numeric fields document
     the binding instance of the counting argument: realizing the collapse
     with a rank-``rank_tested`` initialization would force
     ``vectors_required`` orthonormal vectors into the
@@ -169,34 +175,12 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
     dies because total decoherence would force the mixed image to be pure.
     Each deduction is recorded as one narrative line.
 
-    Never raises on family violations: if the parameters somehow fail the
-    family's own preconditions the claim is INCONCLUSIVE.
+    ``p``'s constructor is the one check of the family's preconditions, and
+    its fields are read-only, so the claim is always NOT_REALIZABLE; only
+    the CLI reports INCONCLUSIVE, for non-members.
     """
     d, d_fin = p.d, p.d_fin
     target_purity = purity(p.rho_target)
-
-    problems = []
-    if is_pure(p.rho_target):
-        problems.append(
-            f"target image has purity {target_purity:.12g} >= 1 - 1e-10: "
-            "not truly mixed, the argument does not apply"
-        )
-    if d == 2 and p.overlap <= OVERLAP:
-        problems.append(
-            "d = 2 with <0'|rho'|0'> = 0: the rank-2 branch of the argument "
-            "does not apply"
-        )
-    if problems:
-        return NonRealizabilityCertificate(
-            claim=INCONCLUSIVE,
-            rank_tested=0,
-            vectors_required=0,
-            dimension_available=d,
-            decoherence_contradiction=False,
-            d2_branch_used=False,
-            narrative=tuple(problems),
-        )
-
     steps = [
         f"family channel: |i><i| -> |0'><0'| for i = 0..{d - 2}, "
         f"|{d - 1}><{d - 1}| -> rho' with purity {target_purity:.12g} < 1, "
@@ -300,8 +284,8 @@ def match_family(channel: Channel) -> FamilyMatch | None:
     if dist > FAMILY_MATCH:
         return None
 
-    rotation = dagger(complete_unitary(phi))  # sends phi to |0'>
-    rho_canonical = rotation @ rho_mixed @ dagger(rotation)
+    rotation = complete_unitary(phi).conj().T  # sends phi to |0'>
+    rho_canonical = rotation @ rho_mixed @ rotation.conj().T
     try:
         params = CounterexampleParams(d, d_fin, rho_canonical)
     except ValueError:

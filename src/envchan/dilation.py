@@ -22,8 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, ChoiMatrix, KrausSet, _choi_from_vecs, _vec
-from .linalg import as_complex_matrix, complete_unitary, eig_hermitian, is_unitary
+from .channels import Channel, ChoiMatrix, KrausSet, _choi_from_vecs, _frozen_copy, _vec
+from .linalg import (
+    _is_integer, as_complex_matrix, complete_unitary, eig_hermitian, is_unitary,
+)
 from .states import basis_state, projector, validate_density_matrix
 from .tolerances import ENV_SPECTRUM_CUTOFF
 
@@ -40,9 +42,13 @@ class Dilation:
         env_state: density matrix over final ⊗ environment, the fixed
             initial state of everything except the channel input.
 
+    ``unitary`` and ``env_state`` are stored as read-only copies, so a
+    dilation cannot change after it is validated.
+
     Raises:
         ValueError: "not unitary" if ``unitary`` fails the unitarity check;
-            "shape mismatch" on any dimension disagreement.
+            "shape mismatch" on a non-integer dimension or any dimension
+            disagreement.
     """
 
     d_in: int
@@ -52,15 +58,17 @@ class Dilation:
     env_state: np.ndarray
 
     def __post_init__(self):
+        if not all(_is_integer(n) for n in (self.d_in, self.d_fin, self.d_env)):
+            raise ValueError("shape mismatch")
         if self.d_in < 1 or self.d_fin < 1 or self.d_env < 0:
             raise ValueError("shape mismatch")
         side = self.d_in * self.env_side
-        u = as_complex_matrix(self.unitary)
+        u = _frozen_copy(as_complex_matrix(self.unitary))
         if u.shape != (side, side):
             raise ValueError("shape mismatch")
         if not is_unitary(u):
             raise ValueError("not unitary")
-        env = validate_density_matrix(self.env_state)
+        env = _frozen_copy(validate_density_matrix(self.env_state))
         if env.shape != (self.env_side, self.env_side):
             raise ValueError("shape mismatch")
         object.__setattr__(self, "unitary", u)

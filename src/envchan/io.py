@@ -16,6 +16,7 @@ import numpy as np
 
 from .channels import Channel, ChoiMatrix, KrausSet
 from .dilation import Dilation
+from .linalg import _is_integer
 from .states import validate_density_matrix
 from .tolerances import FILE
 
@@ -74,13 +75,13 @@ def _check_version(data: dict) -> None:
 
 
 def _dimension(data: dict, key: str) -> int:
-    """An integer dimension field; booleans, an int subclass, are rejected.
+    """An integer dimension field; booleans are not integers here.
 
     Raises:
         ValueError: "malformed file" if the field is missing or not an int.
     """
     value = data.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ValueError("malformed file")
     return value
 

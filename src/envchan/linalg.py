@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from numbers import Integral
 
 import numpy as np
 
@@ -25,9 +26,9 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included; booleans are not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT) -> bool:

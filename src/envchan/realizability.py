@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from numbers import Integral
 from statistics import median
 
 import numpy as np
@@ -32,6 +31,7 @@ from scipy.optimize import minimize
 
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
 from .dilation import Dilation, _kraus_rows, channel_from_dilation
+from .linalg import _is_integer
 
 REALIZED = "REALIZED"
 LIKELY_NOT_REALIZABLE = "LIKELY_NOT_REALIZABLE"
@@ -47,11 +47,6 @@ NUMERICAL_EVIDENCE_NOTE = (
 # written as products: 1e-6 * 1e-12 is not the double 1e-18, and seeded
 # search results depend on the exact ftol.
 _STEP_TOLERANCE = 1e-12
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included; booleans are not."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _check_count(name: str, value) -> None:
@@ -71,8 +66,12 @@ def parameter_count(d: int, d_fin: int) -> int:
     (d²·d_fin² − 1, up to global phase), minus redundancy on the traced-out
     input factor (d² − 1). This is the problem's dimension, not the number
     of reals the searcher optimizes over.
+
+    Raises:
+        ValueError: "dimensions must be positive" unless d and d_fin are
+            integers ≥ 1.
     """
-    if d < 1 or d_fin < 1:
+    if not all(_is_integer(n) and n >= 1 for n in (d, d_fin)):
         raise ValueError("dimensions must be positive")
     return d * d * (d_fin * d_fin - 1)
 

@@ -29,7 +29,6 @@ from envchan import (
     certify_nonrealizable,
     channel_from_dilation,
     complete_unitary,
-    dagger,
     decompose_mixed_env,
     distance,
     identity_channel,
@@ -166,7 +165,7 @@ def test_criterion_06_purity_lemma():
         block = np.zeros((d, d), dtype=complex)
         block[0, 0] = 1.0
         block[1:, 1:] = haar_unitary(d - 1, rng)
-        return complete_unitary(dst) @ block @ dagger(complete_unitary(src))
+        return complete_unitary(dst) @ block @ complete_unitary(src).conj().T
 
     violations = 0
     premise_failures = 0

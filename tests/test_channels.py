@@ -100,6 +100,12 @@ class TestChoiValidation:
         with pytest.raises(ValueError, match="not trace preserving"):
             ChoiMatrix(2, 2, 1.5 * np.diag([1.0, 0, 1.0, 0]))
 
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_rejects_non_integer_dimensions(self, dim):
+        # The completely depolarizing channel on int(dim) inputs.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ChoiMatrix(dim, 2, np.eye(2 * int(dim)) / 2)
+
     def test_rejects_wrong_side(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             ChoiMatrix(2, 2, np.eye(3))
@@ -258,6 +264,11 @@ class TestRandomChannel:
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="rank too small"):
             random_channel(3, 2, rng, kraus_rank=1)
+
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_rejects_non_integer_dimensions(self, dim):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            random_channel(2, dim, np.random.default_rng(8))
 
     def test_seeded_reproducibility(self):
         a = random_channel(2, 3, np.random.default_rng(9))

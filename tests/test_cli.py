@@ -8,12 +8,13 @@ import pytest
 
 from envchan import (
     CounterexampleParams,
+    SearchConfig,
     build_counterexample,
     distance,
     identity_channel,
     random_density_matrix,
 )
-from envchan.cli import main
+from envchan.cli import _search_config, build_parser, main
 from envchan.io import (
     FORMAT_VERSION,
     channel_from_dict,
@@ -252,6 +253,13 @@ class TestSearch:
         assert a["argv"] == list(args)
         # Only the wall-clock field may differ between runs.
         assert {k for k in a if a[k] != b[k]} <= {"duration_seconds"}
+
+
+@pytest.mark.parametrize(
+    "argv", [["search", "f.json"], ["perturb", "f.json", "--radius", "0.1"]]
+)
+def test_search_flag_defaults_are_search_config_defaults(argv):
+    assert _search_config(build_parser().parse_args(argv)) == SearchConfig()
 
 
 class TestPerturb:

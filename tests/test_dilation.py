@@ -84,6 +84,24 @@ class TestChannelFromDilation:
         with pytest.raises(ValueError, match="shape mismatch"):
             Dilation(2, 2, 0, np.eye(4), maximally_mixed(4))
 
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_rejects_non_integer_dimensions(self, dim):
+        u = np.eye(2 * int(dim))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Dilation(d_in=dim, d_fin=2, d_env=0, unitary=u, env_state=maximally_mixed(2))
+
+    def test_fields_are_read_only_copies(self):
+        u = swap_gate()
+        env = projector(basis_state(2, 0))
+        dil = Dilation(2, 2, 0, u, env)
+        u[:] = np.eye(4)
+        env[:] = maximally_mixed(2)
+        np.testing.assert_array_equal(dil.unitary, swap_gate())
+        np.testing.assert_array_equal(dil.env_state, projector(basis_state(2, 0)))
+        for field in (dil.unitary, dil.env_state):
+            with pytest.raises(ValueError, match="read-only"):
+                field[0, 0] = 0.0
+
 
 class TestStinespring:
     def test_identity_needs_one_dim_environment(self):

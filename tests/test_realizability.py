@@ -96,6 +96,11 @@ class TestParameterCount:
         with pytest.raises(ValueError, match="positive"):
             parameter_count(2, -1)
 
+    @pytest.mark.parametrize("dim", [2.0, True])
+    def test_rejects_non_integer_dimensions(self, dim):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            parameter_count(dim, 2)
+
 
 class TestSearchConfig:
     def test_defaults(self):
