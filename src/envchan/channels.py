@@ -269,14 +269,14 @@ def random_channel(
 
     Raises:
         ValueError: "dimensions must be positive" unless d_in and d_out are
-            integers ≥ 1; "kraus rank too small" if the rank cannot give an
-            isometry.
+            integers ≥ 1; "kraus rank too small" if the rank is not an
+            integer or cannot give an isometry.
     """
     if not all(_is_integer(n) and n >= 1 for n in (d_in, d_out)):
         raise ValueError("dimensions must be positive")
     if kraus_rank is None:
         kraus_rank = d_in * d_out
-    if kraus_rank < 1 or d_out * kraus_rank < d_in:
+    if not _is_integer(kraus_rank) or kraus_rank < 1 or d_out * kraus_rank < d_in:
         raise ValueError("kraus rank too small")
     g = rng.normal(size=(d_out * kraus_rank, d_in)) + 1j * rng.normal(
         size=(d_out * kraus_rank, d_in)

@@ -118,11 +118,12 @@ def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> D
     ρ' = |α|²|0'⟩⟨0'| + |β|²|1'⟩⟨1'|.
 
     Raises:
-        ValueError: "coefficients must be nonzero" if α or β vanishes;
+        ValueError: "dimensions must be at least 2" unless d and d_fin are
+            integers ≥ 2; "coefficients must be nonzero" if α or β vanishes;
             "coefficients must be normalized" unless |α|² + |β|² = 1 within
             1e-12.
     """
-    if d < 2 or d_fin < 2:
+    if not all(_is_integer(n) and n >= 2 for n in (d, d_fin)):
         raise ValueError("dimensions must be at least 2")
     alpha = complex(alpha)
     beta = complex(beta)

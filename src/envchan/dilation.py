@@ -27,7 +27,7 @@ from .linalg import (
     _is_integer, as_complex_matrix, complete_unitary, eig_hermitian, is_unitary,
 )
 from .states import basis_state, projector, validate_density_matrix
-from .tolerances import ENV_SPECTRUM_CUTOFF
+from .tolerances import CHANNEL, DENSITY_MATRIX, ENV_SPECTRUM_CUTOFF, UNITARY
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +41,10 @@ class Dilation:
         unitary: matrix of side d_in · d_fin · max(d_env, 1).
         env_state: density matrix over final ⊗ environment, the fixed
             initial state of everything except the channel input.
+        atol: tolerance of ``env_state``'s validation. The unitarity check,
+            and the Choi matrices derived from this dilation, use it where
+            it is looser than their own defaults (``UNITARY``, ``CHANNEL``),
+            so files can be loaded at ``FILE``.
 
     ``unitary`` and ``env_state`` are stored as read-only copies, so a
     dilation cannot change after it is validated.
@@ -56,6 +60,7 @@ class Dilation:
     d_env: int
     unitary: np.ndarray
     env_state: np.ndarray
+    atol: float = DENSITY_MATRIX
 
     def __post_init__(self):
         if not all(_is_integer(n) for n in (self.d_in, self.d_fin, self.d_env)):
@@ -66,9 +71,9 @@ class Dilation:
         u = _frozen_copy(as_complex_matrix(self.unitary))
         if u.shape != (side, side):
             raise ValueError("shape mismatch")
-        if not is_unitary(u):
+        if not is_unitary(u, max(self.atol, UNITARY)):
             raise ValueError("not unitary")
-        env = _frozen_copy(validate_density_matrix(self.env_state))
+        env = _frozen_copy(validate_density_matrix(self.env_state, atol=self.atol))
         if env.shape != (self.env_side, self.env_side):
             raise ValueError("shape mismatch")
         object.__setattr__(self, "unitary", u)
@@ -117,6 +122,14 @@ def _env_components(d: Dilation):
         yield p, vec, _choi_from_vecs(_kraus_rows(columns, d.d_in, d.d_fin))
 
 
+def _channel(d: Dilation, choi: np.ndarray) -> Channel:
+    """The channel d_in → d_fin with Choi matrix ``choi``, checked at the
+    dilation's tolerance."""
+    return Channel.from_choi(
+        ChoiMatrix(d.d_in, d.d_fin, choi, atol=max(d.atol, CHANNEL))
+    )
+
+
 def channel_from_dilation(d: Dilation) -> Channel:
     """The channel ρ ↦ tr_{initial, env}[ U (ρ ⊗ env_state) U† ].
 
@@ -128,7 +141,7 @@ def channel_from_dilation(d: Dilation) -> Channel:
     choi = np.zeros((side, side), dtype=complex)
     for p, _, component in _env_components(d):
         choi += p * component
-    return Channel.from_choi(ChoiMatrix(d.d_in, d.d_fin, choi))
+    return _channel(d, choi)
 
 
 def stinespring_from_kraus(k: KrausSet) -> Dilation:
@@ -165,7 +178,7 @@ def decompose_mixed_env(d: Dilation) -> list[SpectralComponent]:
         SpectralComponent(
             weight=float(p),
             env_basis_state=vec,
-            channel=Channel.from_choi(ChoiMatrix(d.d_in, d.d_fin, component)),
+            channel=_channel(d, component),
         )
         for p, vec, component in _env_components(d)
     ]

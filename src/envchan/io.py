@@ -69,8 +69,8 @@ def _check_version(data: dict) -> None:
     if not isinstance(data, dict):
         raise ValueError("malformed file")
     version = data.get("format_version")
-    # bool is an int subclass: true == 1 would otherwise pass.
-    if isinstance(version, bool) or version != FORMAT_VERSION:
+    # 1.0 == 1 and true == 1, so the type is checked first.
+    if not _is_integer(version) or version != FORMAT_VERSION:
         raise ValueError("unsupported format version")
 
 
@@ -172,6 +172,7 @@ def dilation_from_dict(data: dict) -> Dilation:
         d_env=_dimension(data, "d_env"),
         unitary=matrix_from_pairs(data.get("unitary")),
         env_state=matrix_from_pairs(data.get("env_state")),
+        atol=FILE,
     )
 
 

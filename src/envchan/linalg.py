@@ -40,12 +40,14 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT) -> bool:
     )
 
 
-def is_unitary(m: np.ndarray) -> bool:
+def is_unitary(m: np.ndarray, atol: float = UNITARY) -> bool:
+    """Whether ``m`` is square and U·U† is within ``atol`` of I in every
+    entry."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= UNITARY)
+    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= atol)
 
 
 def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:

@@ -27,7 +27,6 @@ from functools import lru_cache
 from statistics import median
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
 from .dilation import Dilation, _kraus_rows, channel_from_dilation
@@ -47,6 +46,19 @@ NUMERICAL_EVIDENCE_NOTE = (
 # written as products: 1e-6 * 1e-12 is not the double 1e-18, and seeded
 # search results depend on the exact ftol.
 _STEP_TOLERANCE = 1e-12
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Importing ``scipy.optimize`` takes most of ``import envchan``, and only
+    the search needs it, so commands that build, certify, convert or apply
+    channels never load it. The search calls this module-level name, so it
+    stays rebindable for tracing and tests.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _check_count(name: str, value) -> None:

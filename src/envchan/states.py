@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_complex_matrix, is_hermitian
+from .linalg import _is_integer, as_complex_matrix, is_hermitian
 from .tolerances import DENSITY_MATRIX, PSD, PURE_PURITY_GAP, STATE_NORM
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Standard basis vector |index⟩ in a ``dim``-dimensional space."""
-    if dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise ValueError("dimension must be positive")
     if not 0 <= index < dim:
         raise ValueError("bad subsystem index")
@@ -78,13 +78,15 @@ def is_pure(rho) -> bool:
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state I/dim."""
-    if dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise ValueError("dimension must be positive")
     return np.eye(dim, dtype=complex) / dim
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector."""
+    if not _is_integer(dim) or dim < 1:
+        raise ValueError("dimension must be positive")
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 
@@ -95,10 +97,14 @@ def random_density_matrix(
     """Random density matrix GG†/tr(GG†) with G a dim×rank Ginibre matrix.
 
     ``rank`` defaults to ``dim`` (full rank, almost surely).
+
+    Raises:
+        ValueError: "rank must be between 1 and dim" unless dim and rank are
+            integers with 1 ≤ rank ≤ dim.
     """
     if rank is None:
         rank = dim
-    if not 1 <= rank <= dim:
+    if not (_is_integer(dim) and _is_integer(rank)) or not 1 <= rank <= dim:
         raise ValueError("rank must be between 1 and dim")
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = g @ g.conj().T

@@ -2,6 +2,10 @@
 ``main(argv)`` with files in a temp directory."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +371,35 @@ class TestErrorPaths:
         code, _, err = run(capsys, "convert", identity_file, "--to", "choi")
         assert code == 2
         assert message in err
+
+
+COLD_PATH = """
+import os, sys
+from envchan import SearchConfig, identity_channel, search_mixed_env_realization
+from envchan.cli import main
+
+os.chdir(sys.argv[1])
+for argv in (
+    ["params", "--d", "3", "--d-fin", "2"],
+    ["certify", "--d", "3", "--d-fin", "2", "--rho-target", "0.7,0.3"],
+    ["build", "counterexample", "--d", "2", "--d-fin", "2",
+     "--rho-target", "0.5,0.5", "--out", "channel.json"],
+    ["convert", "channel.json", "--to", "choi", "--out", "choi.json"],
+):
+    assert main(argv) == 0, argv
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+search_mixed_env_realization(identity_channel(2), SearchConfig(restarts=1))
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_optimizer_loads_on_first_search_only(tmp_path):
+    # Importing scipy.optimize costs most of the package's start-up, and
+    # only the search uses it: commands that never search must not load it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_PATH, str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Round-trip and error-path tests for the JSON file formats."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from envchan import (
     random_density_matrix,
     validate_density_matrix,
 )
+from envchan.cli import main
 from envchan.io import (
     FORMAT_VERSION,
     channel_from_dict,
@@ -77,6 +79,14 @@ class TestChannelFiles:
     def test_bad_version(self):
         data = channel_to_dict(random_channel(2, 2, np.random.default_rng(2)))
         data["format_version"] = FORMAT_VERSION + 1
+        with pytest.raises(ValueError, match="unsupported format version"):
+            channel_from_dict(data)
+
+    @pytest.mark.parametrize("version", [1.0, "1", True], ids=["float", "string", "bool"])
+    def test_version_must_be_the_integer_one(self, version):
+        # 1.0 == 1 and True == 1, so only the integer 1 is accepted.
+        data = channel_to_dict(identity_channel(2))
+        data["format_version"] = version
         with pytest.raises(ValueError, match="unsupported format version"):
             channel_from_dict(data)
 
@@ -217,6 +227,37 @@ class TestDilationFiles:
         data["unitary"][0][0] = [2.0, 0.0]
         with pytest.raises(ValueError, match="not unitary"):
             dilation_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("unitary", "not unitary"), ("env_state", "trace not one")],
+        ids=["unitary", "env-trace"],
+    )
+    def test_file_tolerance_band(self, capsys, tmp_path, field, message):
+        # Dilation files are validated at 1e-8, as channel and state files
+        # are: a 5e-9 defect loads from a file only, and 1e-6 never does.
+        dil = implementing_unitary(2, 2, 0.6, 0.8)
+        path = tmp_path / "near.json"
+
+        def perturbed(eps):
+            # Scaled so that U·U† − I, or tr(env_state) − 1, is off by eps.
+            scale = np.sqrt(1 + eps) if field == "unitary" else 1 + eps
+            return scale * getattr(dil, field)
+
+        def save(eps):
+            data = {**dilation_to_dict(dil), field: matrix_to_pairs(perturbed(eps))}
+            save_json(data, path)
+
+        save(5e-9)
+        loaded = dilation_from_dict(load_json(path))
+        assert distance(channel_from_dilation(loaded), channel_from_dilation(dil)) < 1e-8
+        assert main(["build", "from-dilation", str(path)]) == 0
+        with pytest.raises(ValueError, match=message):
+            replace(dil, **{field: perturbed(5e-9)})
+        save(1e-6)
+        capsys.readouterr()
+        assert main(["build", "from-dilation", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_load_rejects_non_object(tmp_path):

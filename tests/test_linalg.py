@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from envchan import (
+    basis_state,
     complete_unitary,
     eig_hermitian,
+    implementing_unitary,
     is_hermitian,
     is_unitary,
+    maximally_mixed,
     partial_trace,
+    random_channel,
+    random_density_matrix,
+    random_pure_state,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,3 +175,30 @@ def test_hermitian_predicate():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert is_unitary(X)
     assert not is_unitary(2 * X)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: basis_state(2.0, 0), "dimension must be positive"),
+        (lambda rng: maximally_mixed(2.0), "dimension must be positive"),
+        (lambda rng: random_pure_state(2.0, rng), "dimension must be positive"),
+        (lambda rng: random_pure_state(0, rng), "dimension must be positive"),
+        (lambda rng: random_density_matrix(2.0, rng), "rank must be between 1 and dim"),
+        (
+            lambda rng: implementing_unitary(2.0, 2, 0.6, 0.8),
+            "dimensions must be at least 2",
+        ),
+        (lambda rng: random_channel(2, 2, rng, kraus_rank=2.0), "kraus rank too small"),
+    ],
+    ids=[
+        "basis_state", "maximally_mixed", "random_pure_state",
+        "random_pure_state-zero", "random_density_matrix",
+        "implementing_unitary", "random_channel",
+    ],
+)
+def test_constructors_reject_bad_sizes(call, message):
+    # A float size would otherwise reach numpy and fail with a TypeError;
+    # random_pure_state(0) returned an empty vector.
+    with pytest.raises(ValueError, match=message):
+        call(np.random.default_rng(0))
