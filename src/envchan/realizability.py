@@ -11,9 +11,13 @@ channel with Σ_a F_{s,a}† F_{s',a} = p_s δ_{ss'} I_d, and every Kraus set of
 n = d·d_fin operators is F = W·E, with E the minimal Kraus set (κ operators)
 and W an n×κ isometry. The searcher therefore runs over W, the polar factor
 of a free complex n×κ matrix, so the target is matched by construction: it
-minimizes the squared distance of F's Gram matrix from the nearest
-I_d ⊗ diag(p), using L-BFGS-B with an analytic gradient, multi-restarted
-from seeded random points. Each restart's end point is decoded into a
+drives the residual R = G − I_d ⊗ diag(p), between F's Gram matrix G and
+the nearest I_d ⊗ diag(p), to zero by Levenberg–Marquardt with an analytic
+Jacobian (``minimize``, NumPy only), multi-restarted from seeded random
+points. A restart stops once a step lowers ‖R‖² by at most 1e-4 of itself
+or barely moves the point, or after ``max_iters`` trial steps. Near a zero
+residual the method converges quadratically, so a realizable target needs
+tens of steps, not hundreds. Each restart's end point is decoded into a
 unitary and a spectrum, and its Choi distance to the target is re-checked
 through the dilation path; the re-checked residuals alone decide the early
 stop and the verdict, against two thresholds. LIKELY_NOT_REALIZABLE is
@@ -31,6 +35,7 @@ import numpy as np
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
 from .dilation import Dilation, _kraus_rows, channel_from_dilation
 from .linalg import _is_integer
+from .tolerances import ENV_SPECTRUM_CUTOFF
 
 REALIZED = "REALIZED"
 LIKELY_NOT_REALIZABLE = "LIKELY_NOT_REALIZABLE"
@@ -41,24 +46,74 @@ NUMERICAL_EVIDENCE_NOTE = (
     "search, not a proof of non-realizability."
 )
 
-# L-BFGS-B stopping tolerances are multiples of this; both act on the squared
-# objective and stay well below the squared verdict thresholds. They stay
-# written as products: 1e-6 * 1e-12 is not the double 1e-18, and seeded
-# search results depend on the exact ftol.
-_STEP_TOLERANCE = 1e-12
+# Levenberg–Marquardt stops, as converged, on an accepted step that lowers
+# ‖r‖² by at most this share, or on a step no longer than ``_STEP_STOP``·‖x‖.
+# Near a zero residual each step cuts ‖r‖² by orders of magnitude, so the
+# first rule fires only once round-off is reached or where the residual
+# cannot go to zero and Gauss–Newton steps would otherwise crawl.
+_DECREASE_STOP = 1e-4
+_STEP_STOP = 1e-10
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+@dataclass(frozen=True, eq=False)
+class LeastSquaresResult:
+    """End point of one ``minimize`` run: ``status`` is 0 when a stop rule
+    fired and 1 when ``maxiter`` trial steps ran out; ``nit`` counts trial
+    steps and ``nfev`` evaluations of the residual and its Jacobian."""
 
-    Importing ``scipy.optimize`` takes most of ``import envchan``, and only
-    the search needs it, so commands that build, certify, convert or apply
-    channels never load it. The search calls this module-level name, so it
-    stays rebindable for tracing and tests.
+    x: np.ndarray
+    status: int
+    nit: int
+    nfev: int
+
+
+def minimize(fun, x0, args=(), *, options) -> LeastSquaresResult:
+    """Levenberg–Marquardt on ‖r(x)‖², where ``fun(x, *args)`` returns the
+    real residual vector r and its Jacobian J.
+
+    Each trial step solves (JᵀJ + μI)δ = −Jᵀr, through the smaller of JᵀJ
+    and JJᵀ (δ = −Jᵀ(JJᵀ + μI)⁻¹r is the same step), and is accepted when
+    it lowers ‖r‖². The damping μ starts at 1e-3·max diag(JᵀJ) and follows
+    Nielsen's update (Nielsen 1999, "Damping parameter in Marquardt's
+    method"). ``options["maxiter"]`` caps the trial steps. ``fun`` returns
+    J with r, so a rejected trial step costs one Jacobian it never uses.
+    Deterministic: the same input gives the same iterates. The search calls
+    this module-level name, so it stays rebindable for tracing and tests.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
+    x = np.array(x0, dtype=float)
+    r, jac = fun(x, *args)
+    cost, nfev, nit = r @ r, 1, 0
+    mu, nu = 1e-3 * np.max(np.sum(jac * jac, axis=0)), 2.0
+    converged = cost == 0
+    while not converged and nit < options["maxiter"]:
+        grad = jac.T @ r
+        if jac.shape[0] <= jac.shape[1]:
+            gram = jac @ jac.T
+            gram[np.diag_indices_from(gram)] += mu
+            step = -jac.T @ np.linalg.solve(gram, r)
+        else:
+            gram = jac.T @ jac
+            gram[np.diag_indices_from(gram)] += mu
+            step = -np.linalg.solve(gram, grad)
+        if np.linalg.norm(step) <= _STEP_STOP * np.linalg.norm(x):
+            converged = True
+            break
+        nit += 1
+        trial_r, trial_jac = fun(x + step, *args)
+        nfev += 1
+        trial_cost = trial_r @ trial_r
+        # Gain ratio: actual decrease of ‖r‖² over the decrease the
+        # linear model predicts, δᵀ(μδ − Jᵀr).
+        rho = (cost - trial_cost) / (step @ (mu * step - grad))
+        if rho > 0:
+            converged = cost - trial_cost <= _DECREASE_STOP * cost
+            x, r, jac, cost = x + step, trial_r, trial_jac, trial_cost
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+    return LeastSquaresResult(x=x, status=0 if converged else 1, nit=nit, nfev=nfev)
 
 
 def _check_count(name: str, value) -> None:
@@ -135,14 +190,22 @@ class SearchResult:
 
 
 @lru_cache(maxsize=None)
-def _kraus_gather(d: int, dp: int) -> np.ndarray:
-    """Flat index into U of every entry of the Kraus rows A, in the layout of
-    ``dilation._kraus_rows``: A.ravel() == U.ravel()[gather]. Built once per
+def _u_layout(d: int, dp: int) -> np.ndarray:
+    """Flat index into the Kraus rows A of every entry of U, in the layout of
+    ``dilation._kraus_rows``: U.ravel() == A.ravel()[index]. Built once per
     (d, d_fin) and shared read-only by every call."""
     n = d * dp
-    gather = _kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel()
-    gather.flags.writeable = False
-    return gather
+    index = np.argsort(_kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel())
+    index.flags.writeable = False
+    return index
+
+
+def _to_u_layout(rows: np.ndarray, d: int, dp: int) -> np.ndarray:
+    """Kraus rows (..., n, n) rearranged into U's layout, one column per
+    input |i, s⟩."""
+    n = d * dp
+    flat = rows.reshape(*rows.shape[:-2], n * n)
+    return np.take(flat, _u_layout(d, dp), axis=-1).reshape(rows.shape)
 
 
 def _kraus_columns(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
@@ -158,9 +221,7 @@ def _kraus_columns(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     m = (x[:half] + 1j * x[half:]).reshape(n, -1)
     sigma, v = np.linalg.eigh(m.conj().T @ m)
     q = (v / np.sqrt(sigma)) @ v.conj().T
-    fm = np.empty(n * n, dtype=complex)
-    fm[_kraus_gather(d, dp)] = (m @ q @ kraus).ravel()
-    return m, sigma, v, q, fm.reshape(n, n)
+    return m, sigma, v, q, _to_u_layout(m @ q @ kraus, d, dp)
 
 
 def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
@@ -168,42 +229,108 @@ def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
     return g.diagonal().real.reshape(d, dp).sum(axis=0) / d
 
 
+@lru_cache(maxsize=None)
+def _residual_terms(n: int):
+    """Flat indices into the real view of n×n complex matrices, and weights,
+    such that r = h[a]·u + h[b]·w lists the n² independent real entries of
+    the Hermitian part of h: its diagonal, then √2 times the real and the
+    imaginary parts of its upper triangle."""
+    rows, cols = np.triu_indices(n, 1)
+    upper, lower = 2 * (rows * n + cols), 2 * (cols * n + rows)
+    diag = 2 * (n + 1) * np.arange(n)
+    a = np.concatenate([diag, upper, upper + 1])
+    b = np.concatenate([diag, lower, lower + 1])
+    half, pairs = np.sqrt(0.5), len(rows)
+    u = np.concatenate([np.full(n, 0.5), np.full(2 * pairs, half)])
+    w = np.concatenate([np.full(n, 0.5), np.full(pairs, half), np.full(pairs, -half)])
+    for array in (a, b, u, w):
+        array.flags.writeable = False
+    return a, b, u, w
+
+
+def _residual_vector(h: np.ndarray, d: int, dp: int) -> np.ndarray:
+    """The n² independent real entries of R = H − I_d ⊗ diag(p), for H the
+    Hermitian part (h + h†)/2 of h (..., n, n) and p = ``_spectrum(H)``:
+    R's diagonal, then √2 times the real and the imaginary parts of its upper
+    triangle, so that ‖r‖² = ‖R‖². Linear in h, so it maps a derivative of
+    G to the matching derivative of r."""
+    n = d * dp
+    a, b, u, w = _residual_terms(n)
+    flat = np.ascontiguousarray(h).reshape(*h.shape[:-2], n * n).view(float)
+    r = np.take(flat, a, axis=-1)
+    r *= u
+    r += np.take(flat, b, axis=-1) * w
+    diag = r[..., :n].reshape(*h.shape[:-2], d, dp)
+    diag -= diag.mean(axis=-2, keepdims=True)
+    return r
+
+
+def _kraus_derivatives(m, sigma, v, q, kraus, d: int, dp: int) -> np.ndarray:
+    """dF/dx for the Kraus rows F = W·E, from ``_kraus_columns``' output:
+    indexed [real or imaginary part of x, α, j, row of F, column of F].
+
+    The real part of x's entry (α, j) moves M along dM = e_α e_jᵀ, the
+    imaginary part along i·dM. Through W = M·S^{-1/2}, S = M†M,
+    d(S^{-1/2}) = V(Φ ∘ V†dS V)V† with Φ_kl = (σ_k^{-1/2} − σ_l^{-1/2}) /
+    (σ_k − σ_l), closed form below. With M̃ = MV and Ẽ = V†E, dF splits into
+    a part complex linear in dM, Λ = dM·Q·E + M̃(Φ ∘ V†M†dM V)Ẽ, and an
+    antilinear one, Ω = M̃(Φ ∘ V†dM†M V)Ẽ, so dF is Λ + Ω along dM and
+    i(Λ − Ω) along i·dM. For the unit dM both are rank-one Hadamard
+    products, so each is one matmul for all (α, j).
+    """
+    n, kappa = d * dp, len(kraus)
+    root = np.sqrt(sigma)
+    phi = -1.0 / (root[:, None] * root * (root[:, None] + root))
+    mv, vk = m @ v, v.conj().T @ kraus
+    lam = (mv[:, None, :] * mv.conj()).reshape(n * n, kappa) @ phi
+    lam = (lam @ (v.T[:, :, None] * vk[:, None, :]).reshape(kappa, -1)).reshape(
+        n, n, kappa, n
+    )
+    lam.reshape(n * n, kappa, n)[:: n + 1] += q @ kraus
+    omega = (mv[:, None, :] * v.conj()).reshape(n * kappa, kappa) @ phi
+    omega = (omega @ (mv.T[:, :, None] * vk[:, None, :]).reshape(kappa, -1)).reshape(
+        n, kappa, n, n
+    )
+    lam, omega = lam.transpose(1, 2, 0, 3), omega.transpose(2, 1, 0, 3)
+    df = np.empty((2, n, kappa, n, n), dtype=complex)
+    np.add(lam, omega, out=df[0])
+    np.subtract(lam, omega, out=df[1])
+    df[1] *= 1j
+    return df
+
+
 def _objective_and_grad(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
-    """‖G − I_d ⊗ diag(p)‖² for G = Fm†Fm and p = ``_spectrum(G)``, with its
-    exact gradient in x.
+    """The residual r of R = G − I_d ⊗ diag(p), for G = Fm†Fm and
+    p = ``_spectrum(G)`` (see ``_residual_vector``), and its exact Jacobian
+    J = ∂r/∂x, one column per entry of x.
 
     ``kraus`` holds the rows vec(E_j) of the target's minimal Kraus set; see
-    ``_kraus_columns`` for x. The value is zero exactly when Fm's columns,
-    scaled by 1/√p_s, are orthonormal: then they are columns of a unitary
-    that realizes the target with spectrum p.
+    ``_kraus_columns`` for x. ‖r‖² is zero exactly when Fm's columns, scaled
+    by 1/√p_s, are orthonormal: then they are columns of a unitary that
+    realizes the target with spectrum p.
     """
     n = d * dp
     m, sigma, v, q, fm = _kraus_columns(x, kraus, d, dp)
-    r = fm.conj().T @ fm
-    r[np.diag_indices(n)] -= np.tile(_spectrum(r, d, dp), d)
-    value = np.vdot(r, r).real
-
-    # Gradients Γ with df = Re⟨Γ, dZ⟩. p is a projection of G, so only R
-    # carries through: Γ_Fm = 4·Fm·R, then back through the gather and E.
-    gamma_w = (4.0 * fm @ r).ravel()[_kraus_gather(d, dp)].reshape(n, n)
-    gamma_w = gamma_w @ kraus.conj().T
-    # Through W = M·S^{-1/2}, S = M†M: d(S^{-1/2}) = V(Φ ∘ V†dS V)V† with
-    # Φ_kl = (σ_k^{-1/2} − σ_l^{-1/2})/(σ_k − σ_l), closed form below.
-    root = np.sqrt(sigma)
-    phi = -1.0 / (root[:, None] * root * (root[:, None] + root))
-    b = v.conj().T @ (gamma_w.conj().T @ m) @ v
-    gamma_m = gamma_w @ q + m @ (v @ (phi * (b + b.conj().T)) @ v.conj().T)
-    return value, np.concatenate([gamma_m.real.ravel(), gamma_m.imag.ravel()])
+    residual = _residual_vector(fm.conj().T @ fm, d, dp)
+    # dG = Fm†dFm + h.c. is twice the Hermitian part of Fm†dFm, written
+    # over dFm, the largest array here, to keep the peak memory down.
+    dfm = _to_u_layout(_kraus_derivatives(m, sigma, v, q, kraus, d, dp), d, dp)
+    jac = _residual_vector(np.matmul(2.0 * fm.conj().T, dfm, out=dfm), d, dp)
+    return residual, jac.reshape(-1, n * n).T
 
 
 def _decode_point(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     """The realization (U, p) that x encodes: p = ``_spectrum(G)`` and U the
     polar factor of Fm with column (i, s) scaled by 1/√p_s. Columns with
-    p_s = 0 are left zero; the polar factor completes them. p is normalized
-    because E lacks the Choi eigenvalues below the Kraus rank cutoff."""
+    p_s ≤ ``ENV_SPECTRUM_CUTOFF`` are left zero, since scaling their
+    round-off by 1/√p_s would amplify it into a non-realization; the polar
+    factor completes them. p is normalized because E lacks the Choi
+    eigenvalues below the Kraus rank cutoff."""
     fm = _kraus_columns(x, kraus, d, dp)[-1]
     p = _spectrum(fm.conj().T @ fm, d, dp)
-    scale = np.divide(1.0, np.sqrt(p), out=np.zeros(dp), where=p > 0)
+    scale = np.divide(
+        1.0, np.sqrt(p), out=np.zeros(dp), where=p > ENV_SPECTRUM_CUTOFF
+    )
     left, _, right = np.linalg.svd(fm * np.tile(scale, d))
     return left @ right, p / p.sum()
 
@@ -253,13 +380,7 @@ def search_mixed_env_realization(
             _objective_and_grad,
             x0,
             args=(kraus, d, dp),
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": config.max_iters,
-                "ftol": 1e-6 * _STEP_TOLERANCE,
-                "gtol": 1e-4 * _STEP_TOLERANCE,
-            },
+            options={"maxiter": config.max_iters},
         )
         unitary, spectrum = _decode_point(res.x, kraus, d, dp)
         residual = float(realization_residual(target, unitary, spectrum))

@@ -247,6 +247,19 @@ class TestSearch:
         assert code == 2
         assert "restarts must be positive" in err
 
+    def test_kraus_rank_two_random_channel_is_realized(self, capsys, tmp_path):
+        # A 2→2 channel of Kraus rank 2 has a pure-initialization
+        # realization; the search must find it, not report 0.68.
+        path = str(tmp_path / "random.json")
+        code, _, _ = run(
+            capsys, "build", "random", "--d", "2", "--d-fin", "2",
+            "--kraus-rank", "2", "--seed", "7", "--out", path,
+        )
+        assert code == 0
+        code, data, _ = run_json(capsys, "search", path)
+        assert code == 0
+        assert data["results"]["verdict"] == "REALIZED"
+
     def test_report_is_deterministic(self, capsys, counterexample_file):
         args = ("search", counterexample_file, "--restarts", "3", "--seed", "1")
         code_a, a, _ = run_json(capsys, *args)
@@ -373,33 +386,45 @@ class TestErrorPaths:
         assert message in err
 
 
-COLD_PATH = """
+NO_SCIPY = """
 import os, sys
-from envchan import SearchConfig, identity_channel, search_mixed_env_realization
+import numpy as np
+from envchan import Dilation, basis_state, projector
 from envchan.cli import main
+from envchan.io import dilation_to_dict, save_json, state_to_dict
 
 os.chdir(sys.argv[1])
+save_json(state_to_dict(projector(basis_state(2, 0))), "state.json")
+save_json(dilation_to_dict(Dilation(
+    d_in=2, d_fin=2, d_env=0, unitary=np.eye(4, dtype=complex),
+    env_state=np.diag([0.7, 0.3]).astype(complex),
+)), "dilation.json")
 for argv in (
     ["params", "--d", "3", "--d-fin", "2"],
     ["certify", "--d", "3", "--d-fin", "2", "--rho-target", "0.7,0.3"],
     ["build", "counterexample", "--d", "2", "--d-fin", "2",
      "--rho-target", "0.5,0.5", "--out", "channel.json"],
+    ["build", "random", "--d", "2", "--d-fin", "2", "--out", "random.json"],
+    ["build", "from-dilation", "dilation.json", "--out", "induced.json"],
     ["convert", "channel.json", "--to", "choi", "--out", "choi.json"],
+    ["apply", "channel.json", "state.json", "--out", "out.json"],
+    ["search", "induced.json", "--restarts", "2", "--out", "search.json"],
+    ["perturb", "channel.json", "--radius", "0.01", "--samples", "1",
+     "--restarts", "2", "--out", "perturb.json"],
 ):
     assert main(argv) == 0, argv
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
-search_mixed_env_realization(identity_channel(2), SearchConfig(restarts=1))
-assert "scipy.optimize" in sys.modules
 """
 
 
-def test_scipy_optimizer_loads_on_first_search_only(tmp_path):
-    # Importing scipy.optimize costs most of the package's start-up, and
-    # only the search uses it: commands that never search must not load it.
+def test_no_command_loads_scipy(tmp_path):
+    # The package depends on NumPy alone: a fresh interpreter that runs
+    # every subcommand, the search and the perturbation experiment
+    # included, must not load SciPy.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_PATH, str(tmp_path)],
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,6 @@
 """Tests for the parameter count, the mixed-environment realization search
-(its evaluator's gradient and decoding included), and the perturbation
-experiment."""
+(its evaluator's residual and Jacobian, its Levenberg–Marquardt solver and
+its decoding included), and the perturbation experiment."""
 
 import numpy as np
 import pytest
@@ -28,7 +28,9 @@ from envchan.realizability import (
     _decode_point,
     _minimal_kraus_rows,
     _objective_and_grad,
+    minimize,
 )
+from envchan.tolerances import ENV_SPECTRUM_CUTOFF
 
 
 def haar_unitary(dim, rng):
@@ -140,32 +142,65 @@ class TestSearchConfig:
         assert SearchConfig(seed=seed).seed == seed
 
 
-def finite_difference_error(x, kraus, d, dp, grad, eps=1e-6):
-    """Distance of ``grad`` from central differences of the objective,
-    relative to the larger of their norm and 1."""
-    fd = np.empty(len(x))
+def gram_residual(x, kraus, d, dp):
+    """R = G − I_d ⊗ diag(p) at the point x, computed here without the
+    evaluator: W from an SVD, Fm through the dilation's Kraus layout, G =
+    Fm†Fm and p_s the mean of G's diagonal entries (i, s) over i."""
+    n = d * dp
+    half = n * len(kraus)
+    m = (x[:half] + 1j * x[half:]).reshape(n, -1)
+    left, _, right = np.linalg.svd(m, full_matrices=False)
+    fm = np.empty(n * n, dtype=complex)
+    fm[_kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel()] = (
+        left @ right @ kraus
+    ).ravel()
+    fm = fm.reshape(n, n)
+    g = fm.conj().T @ fm
+    p = g.diagonal().real.reshape(d, dp).mean(axis=0)
+    return g - np.diag(np.tile(p, d))
+
+
+def residual_entries(matrix):
+    """The diagonal, then √2 times the real and the imaginary parts of the
+    upper triangle, of a Hermitian matrix."""
+    upper = matrix[np.triu_indices(len(matrix), 1)]
+    return np.concatenate(
+        [matrix.diagonal().real, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag]
+    )
+
+
+def check_residual_and_jacobian(x, kraus, d, dp, eps=1e-6):
+    """Compare the evaluator's r with the independent R, and its J with
+    central differences of the independent r; returns ‖r‖²."""
+    residual, jac = _objective_and_grad(x, kraus, d, dp)
+    expected = gram_residual(x, kraus, d, dp)
+    np.testing.assert_allclose(residual, residual_entries(expected), atol=1e-12)
+    norm = np.vdot(expected, expected).real
+    assert residual @ residual == pytest.approx(norm, rel=1e-12, abs=1e-28)
+    assert jac.shape == (len(residual), len(x))
+    fd = np.empty_like(jac)
     for k in range(len(x)):
         step = np.zeros(len(x))
         step[k] = eps
-        up, _ = _objective_and_grad(x + step, kraus, d, dp)
-        down, _ = _objective_and_grad(x - step, kraus, d, dp)
-        fd[k] = (up - down) / (2 * eps)
-    return np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0)
+        up = residual_entries(gram_residual(x + step, kraus, d, dp))
+        down = residual_entries(gram_residual(x - step, kraus, d, dp))
+        fd[:, k] = (up - down) / (2 * eps)
+    assert np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1.0) < 1e-6
+    return norm
 
 
 class TestGradient:
     def test_matches_finite_differences(self):
-        # Central differences around random points; the analytic gradient
-        # must agree to high relative accuracy for the optimizer to work.
+        # The residual is the n² independent real entries of the Gram
+        # residual, with ‖r‖² = ‖G − I_d ⊗ diag(p)‖², and J must agree with
+        # central differences of it for Levenberg–Marquardt to converge.
         rng = np.random.default_rng(7)
         for d, dp in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)]:
             target = realizable_target(d, dp, rng)
             kraus = _minimal_kraus_rows(target)
             assert len(kraus) == d * dp
             x = rng.normal(size=2 * d * dp * len(kraus))
-            value, grad = _objective_and_grad(x, kraus, d, dp)
-            assert value >= 0.0
-            assert finite_difference_error(x, kraus, d, dp, grad) < 1e-6
+            assert check_residual_and_jacobian(x, kraus, d, dp) > 0.0
 
     @pytest.mark.parametrize(
         "target",
@@ -183,22 +218,21 @@ class TestGradient:
         assert len(kraus) < d * dp
         rng = np.random.default_rng([16, d, len(kraus)])
         x = rng.normal(size=2 * d * dp * len(kraus))
-        value, grad = _objective_and_grad(x, kraus, d, dp)
-        assert value > 0.0
-        assert finite_difference_error(x, kraus, d, dp, grad) < 1e-6
+        assert check_residual_and_jacobian(x, kraus, d, dp) > 0.0
 
 
 class TestDecode:
     @pytest.mark.parametrize("d, dp", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_known_dilation_is_a_zero(self, d, dp):
-        # A dilation of the target is a zero of the evaluator, and decoding
-        # it gives a realization the independent re-check accepts.
+        # A dilation of the target is a zero of the residual and a
+        # stationary point of ‖r‖², and decoding it gives a realization the
+        # independent re-check accepts.
         rng = np.random.default_rng([17, d, dp])
         spectrum = rng.dirichlet(np.ones(dp))
         target, kraus, x = realizable_point(d, dp, spectrum, rng)
-        value, grad = _objective_and_grad(x, kraus, d, dp)
-        assert value < 1e-26
-        assert np.linalg.norm(grad) < 1e-12
+        residual, jac = _objective_and_grad(x, kraus, d, dp)
+        assert residual @ residual < 1e-26
+        assert np.linalg.norm(jac.T @ residual) < 1e-12
         unitary, decoded = _decode_point(x, kraus, d, dp)
         np.testing.assert_allclose(decoded, spectrum, atol=1e-12)
         assert realization_residual(target, unitary, decoded) < 1e-12
@@ -218,6 +252,63 @@ class TestDecode:
             env_state=np.diag(spectrum).astype(complex),
         )
         assert distance(channel_from_dilation(dilation), target) < 1e-12
+
+    def test_round_off_spectrum_is_not_amplified(self):
+        # A pure initialization reached numerically leaves round-off, not
+        # zeros, in the s = 1 Kraus operators (rows 2 and 3 of F). Scaled
+        # by 1/√p_1 that noise would no longer be orthonormal and would
+        # wreck the polar factor; decoding must treat p_1 as zero.
+        rng = np.random.default_rng(18)
+        target, kraus, x = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
+        half = len(x) // 2
+        w = (x[:half] + 1j * x[half:]).reshape(4, -1)
+        w[2:] = 1e-11 * (rng.normal(size=w[2:].shape) + 1j * rng.normal(size=w[2:].shape))
+        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
+        unitary, spectrum = _decode_point(x, kraus, 2, 2)
+        assert 0.0 < spectrum[1] <= ENV_SPECTRUM_CUTOFF
+        assert realization_residual(target, unitary, spectrum) < 1e-9
+
+
+def rosenbrock(x):
+    """Rosenbrock's function as residuals (10(x₂ − x₁²), 1 − x₁), zero at
+    (1, 1), and their Jacobian."""
+    residual = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+    return residual, jac
+
+
+class TestMinimize:
+    def test_converges_on_a_zero_residual(self):
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 200})
+        assert res.status == 0
+        np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-10)
+        assert 0 < res.nit < 200
+        assert res.nfev == res.nit + 1
+
+    def test_capped_run_reports_status_one(self):
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 3})
+        assert res.status == 1
+        assert res.nit == 3
+
+    def test_deterministic(self):
+        a = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 200})
+        b = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 200})
+        np.testing.assert_array_equal(a.x, b.x)
+        assert (a.nit, a.nfev) == (b.nit, b.nfev)
+
+    def test_passes_args_and_leaves_x0_alone(self):
+        # A least-squares fit of a line through three points, shifted by an
+        # argument: the minimum has a non-zero residual.
+        def line(x, shift):
+            t = np.array([0.0, 1.0, 2.0])
+            residual = x[0] + x[1] * t - (np.array([1.0, 2.0, 4.0]) + shift)
+            return residual, np.stack([np.ones(3), t], axis=1)
+
+        x0 = np.zeros(2)
+        res = minimize(line, x0, args=(1.0,), options={"maxiter": 100})
+        assert res.status == 0
+        np.testing.assert_allclose(res.x, [11.0 / 6.0, 1.5], atol=1e-6)
+        np.testing.assert_array_equal(x0, np.zeros(2))
 
 
 class TestSearch:
@@ -241,6 +332,15 @@ class TestSearch:
         )
         # The loop breaks at the first restart that beats the threshold.
         assert len(result.residual_history) < 50
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kraus_rank_two_channels_are_realized(self, seed):
+        # Kraus rank 2 ≤ d: a pure initialization realizes these, so the
+        # search ends at a spectrum with one entry at round-off, which
+        # decoding must treat as zero.
+        target = random_channel(2, 2, np.random.default_rng(seed), kraus_rank=2)
+        result = search_mixed_env_realization(target, SearchConfig(restarts=5))
+        assert result.verdict == REALIZED
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
