@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: build, certify, search, convert, apply, params, perturb.
-Machine-readable JSON goes to --out or standard output; human-oriented
-errors go to standard error.
+Each command returns its payload and ``main`` writes it as JSON to --out
+or standard output: certify, search and perturb a report envelope around
+their results, build, convert and apply the bare file payload, params an
+integer. Human-oriented errors go to standard error.
 
 Exit codes:
     0  success (including certificate NOT_REALIZABLE and search REALIZED)
@@ -40,19 +42,17 @@ from .realizability import (
     LIKELY_NOT_REALIZABLE,
     REALIZED,
     NUMERICAL_EVIDENCE_NOTE,
+    UNDECIDED,
     SearchConfig,
     parameter_count,
     perturbation_experiment,
     search_mixed_env_realization,
 )
 
-
-def _emit(data: dict, out: str | None) -> None:
-    if out:
-        io.save_json(data, out)
-    else:
-        json.dump(data, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+# Exit codes of the search verdicts, as in the module docstring.
+_SEARCH_EXIT_CODES = {REALIZED: 0, LIKELY_NOT_REALIZABLE: 4, UNDECIDED: 5}
+# Commands whose results main wraps in a report envelope.
+_REPORT_COMMANDS = ("certify", "search", "perturb")
 
 
 def _jsonable(value):
@@ -66,18 +66,6 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return io.matrix_to_pairs(value) if np.iscomplexobj(value) else value.tolist()
     return value
-
-
-def _report(command: str, argv_echo: list, seed, results: dict, started: float) -> dict:
-    return {
-        "format_version": io.FORMAT_VERSION,
-        "kind": "report",
-        "command": command,
-        "argv": argv_echo,
-        "seed": seed,
-        "duration_seconds": perf_counter() - started,
-        "results": results,
-    }
 
 
 def _parse_complex(text: str) -> complex:
@@ -139,7 +127,7 @@ def _load_channel(path: str) -> Channel:
     return io.channel_from_dict(io.load_json(path))
 
 
-def cmd_build(args, argv_echo) -> int:
+def cmd_build(args) -> tuple[dict, int]:
     if args.kind == "counterexample":
         channel = build_counterexample(_counterexample_params(args))
     elif args.kind == "random":
@@ -147,14 +135,15 @@ def cmd_build(args, argv_echo) -> int:
         channel = random_channel(args.d, args.d_fin, rng, kraus_rank=args.kraus_rank)
     else:  # from-dilation
         channel = channel_from_dilation(io.dilation_from_dict(io.load_json(args.dilation)))
-    _emit(io.channel_to_dict(channel), args.out)
-    return 0
+    return io.channel_to_dict(channel), 0
 
 
-def cmd_certify(args, argv_echo) -> int:
-    started = perf_counter()
+def cmd_certify(args) -> tuple[dict, int]:
     membership = None
     if args.channel is not None:
+        family = (args.d, args.d_fin, args.alpha, args.beta, args.rho_target, args.rho_basis)
+        if any(flag is not None for flag in family):
+            raise ValueError("give a channel file or family flags, not both")
         channel = _load_channel(args.channel)
         match = match_family(channel)
         if match is None:
@@ -167,8 +156,7 @@ def cmd_certify(args, argv_echo) -> int:
                     "does not apply"
                 ],
             }
-            _emit(_report("certify", argv_echo, None, results, started), args.out)
-            return 3
+            return results, 3
         membership = {
             "choi_distance": match.choi_distance,
             "canonical_rho_target": _jsonable(match.params.rho_target),
@@ -179,12 +167,10 @@ def cmd_certify(args, argv_echo) -> int:
     results = _jsonable(certify_nonrealizable(params))
     if membership is not None:
         results["membership"] = membership
-    _emit(_report("certify", argv_echo, None, results, started), args.out)
-    return 0
+    return results, 0
 
 
-def cmd_search(args, argv_echo) -> int:
-    started = perf_counter()
+def cmd_search(args) -> tuple[dict, int]:
     channel = _load_channel(args.channel)
     config = _search_config(args)
     result = search_mixed_env_realization(channel, config)
@@ -194,40 +180,30 @@ def cmd_search(args, argv_echo) -> int:
         "nonrealizable_threshold": config.nonrealizable_threshold,
         "note": NUMERICAL_EVIDENCE_NOTE,
     }
-    _emit(_report("search", argv_echo, config.seed, results, started), args.out)
-    if result.verdict == REALIZED:
-        return 0
-    if result.verdict == LIKELY_NOT_REALIZABLE:
-        return 4
-    return 5
+    return results, _SEARCH_EXIT_CODES[result.verdict]
 
 
-def cmd_convert(args, argv_echo) -> int:
+def cmd_convert(args) -> tuple[dict, int]:
     channel = _load_channel(args.input)
     payload = io.choi_to_dict(channel) if args.to == "choi" else io.channel_to_dict(channel)
-    _emit(payload, args.out)
-    return 0
+    return payload, 0
 
 
-def cmd_apply(args, argv_echo) -> int:
+def cmd_apply(args) -> tuple[dict, int]:
     channel = _load_channel(args.channel)
     rho = io.state_from_dict(io.load_json(args.state))
-    _emit(io.state_to_dict(apply(channel, rho)), args.out)
-    return 0
+    return io.state_to_dict(apply(channel, rho)), 0
 
 
-def cmd_params(args, argv_echo) -> int:
-    print(parameter_count(args.d, args.d_fin))
-    return 0
+def cmd_params(args) -> tuple[int, int]:
+    return parameter_count(args.d, args.d_fin), 0
 
 
-def cmd_perturb(args, argv_echo) -> int:
-    started = perf_counter()
+def cmd_perturb(args) -> tuple[dict, int]:
     channel = _load_channel(args.channel)
     config = _search_config(args)
     report = perturbation_experiment(channel, args.radius, args.samples, config)
-    _emit(_report("perturb", argv_echo, config.seed, _jsonable(report), started), args.out)
-    return 0
+    return _jsonable(report), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,11 +320,29 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = perf_counter()
     try:
-        return args.func(args, list(argv))
+        payload, code = args.func(args)
+        if args.command in _REPORT_COMMANDS:
+            payload = {
+                "format_version": io.FORMAT_VERSION,
+                "kind": "report",
+                "command": args.command,
+                "argv": list(argv),
+                "seed": getattr(args, "seed", None),
+                "duration_seconds": perf_counter() - started,
+                "results": payload,
+            }
+        out = getattr(args, "out", None)
+        if out:
+            io.save_json(payload, out)
+        else:
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

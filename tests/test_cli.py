@@ -211,6 +211,20 @@ class TestCertify:
         assert data["results"]["claim"] == "INCONCLUSIVE"
         assert data["results"]["narrative"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--d", "5", "--d-fin", "9", "--rho-target", "1,2"),
+            ("--alpha", "0.6", "--beta", "0.8"),
+        ],
+        ids=["rho-target", "alpha-beta"],
+    )
+    def test_rejects_file_with_family_flags(self, capsys, counterexample_file, flags):
+        code, out, err = run(capsys, "certify", counterexample_file, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == "error: give a channel file or family flags, not both\n"
+
 
 class TestSearch:
     def test_realizable_exit_zero(self, capsys, tmp_path):
@@ -241,6 +255,29 @@ class TestSearch:
         assert data["results"]["verdict"] == "LIKELY_NOT_REALIZABLE"
         assert data["results"]["best_residual"] > 1e-3
         assert len(data["results"]["residual_history"]) == 5
+
+    def test_undecided_exit_five(self, capsys, tmp_path):
+        # One restart cut at 8 iterations stops between the two thresholds
+        # (about 3e-5) on this realizable target.
+        from envchan import Dilation, channel_from_dilation
+
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        q, r = np.linalg.qr(g)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        dil = Dilation(
+            d_in=2, d_fin=2, d_env=0,
+            unitary=u, env_state=np.diag([0.7, 0.3]).astype(complex),
+        )
+        path = tmp_path / "realizable.json"
+        save_json(channel_to_dict(channel_from_dilation(dil)), path)
+        code, data, _ = run_json(
+            capsys, "search", str(path), "--restarts", "1", "--max-iters", "8"
+        )
+        assert code == 5
+        results = data["results"]
+        assert results["verdict"] == "UNDECIDED"
+        assert 1e-6 <= results["best_residual"] <= 1e-3
 
     def test_rejects_zero_restarts(self, capsys, identity_file):
         code, _, err = run(capsys, "search", identity_file, "--restarts", "0")
@@ -334,6 +371,72 @@ class TestReportKeys:
         assert list(data["results"]["membership"]) == [
             "choi_distance", "canonical_rho_target",
         ]
+
+
+class TestOutput:
+    """Every JSON-writing command writes the same payload to --out as to
+    standard output, in the same format."""
+
+    @pytest.fixture
+    def files(self, tmp_path, identity_file, counterexample_file):
+        from envchan import implementing_unitary
+        from envchan.io import dilation_to_dict
+
+        dilation = tmp_path / "dilation.json"
+        save_json(dilation_to_dict(implementing_unitary(2, 2, 0.6, 0.8)), dilation)
+        state = tmp_path / "state.json"
+        save_json(state_to_dict(random_density_matrix(2, np.random.default_rng(0))), state)
+        return {
+            "identity": identity_file, "counterexample": counterexample_file,
+            "dilation": str(dilation), "state": str(state),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "counterexample", "--d", "2", "--d-fin", "2", "--rho-target", "0.5,0.5"],
+            ["build", "random", "--d", "2", "--d-fin", "2", "--seed", "3"],
+            ["build", "from-dilation", "{dilation}"],
+            ["certify", "{counterexample}"],
+            ["certify", "{identity}"],
+            ["convert", "{counterexample}", "--to", "choi"],
+            ["apply", "{identity}", "{state}"],
+            ["search", "{counterexample}", "--restarts", "1", "--max-iters", "20"],
+            ["perturb", "{identity}", "--radius", "0.01", "--samples", "1",
+             "--restarts", "1", "--max-iters", "20"],
+        ],
+        ids=[
+            "build-counterexample", "build-random", "build-from-dilation", "certify",
+            "certify-inconclusive", "convert", "apply", "search", "perturb",
+        ],
+    )
+    def test_out_file_matches_stdout(self, capsys, tmp_path, files, argv):
+        argv = [a.format(**files) for a in argv]
+        out_path = str(tmp_path / "out.json")
+        code_stdout, printed, _ = run(capsys, *argv)
+        code_file, written_out, _ = run(capsys, *argv, "--out", out_path)
+        assert code_file == code_stdout
+        assert written_out == ""
+        with open(out_path, encoding="utf-8") as handle:
+            written = handle.read()
+        payloads = []
+        for text in (printed, written):
+            data = json.loads(text)
+            assert text == json.dumps(data, indent=2) + "\n"
+            data.pop("duration_seconds", None)
+            payloads.append(data)
+        if "argv" in payloads[1]:
+            assert payloads[1]["argv"] == argv + ["--out", out_path]
+            payloads[1]["argv"] = argv
+        assert payloads[0] == payloads[1]
+
+    def test_out_in_missing_directory_exits_two(self, capsys, tmp_path, counterexample_file):
+        missing = str(tmp_path / "missing" / "out.json")
+        code, out, err = run(capsys, "certify", counterexample_file, "--out", missing)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestErrorPaths:
