@@ -13,7 +13,6 @@ from .channels import (
     ChoiMatrix,
     KrausSet,
     apply,
-    apply_from_choi,
     choi_to_kraus,
     distance,
     identity_channel,
@@ -69,7 +68,6 @@ from .states import (
     random_density_matrix,
     random_pure_state,
     validate_density_matrix,
-    validate_pure_state,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +91,6 @@ __all__ = [
     "SpectralComponent",
     "UNDECIDED",
     "apply",
-    "apply_from_choi",
     "basis_state",
     "build_counterexample",
     "certify_nonrealizable",
@@ -125,5 +122,4 @@ __all__ = [
     "search_mixed_env_realization",
     "stinespring_from_kraus",
     "validate_density_matrix",
-    "validate_pure_state",
 ]

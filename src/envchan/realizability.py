@@ -9,19 +9,23 @@ form loses nothing — a basis change is absorbed into U.)
 Such a realization is a Kraus set {F_{s,a}} (s < d_fin, a < d) of the
 channel with Σ_a F_{s,a}† F_{s',a} = p_s δ_{ss'} I_d, and every Kraus set of
 n = d·d_fin operators is F = W·E, with E the minimal Kraus set (κ operators)
-and W an n×κ isometry. The searcher therefore runs over W, the polar factor
-of a free complex n×κ matrix, so the target is matched by construction: it
-drives the residual R = G − I_d ⊗ diag(p), between F's Gram matrix G and
-the nearest I_d ⊗ diag(p), to zero by Levenberg–Marquardt with an analytic
-Jacobian (``minimize``, NumPy only), multi-restarted from seeded random
-points. A restart stops once a step lowers ‖R‖² by at most 1e-4 of itself
-or barely moves the point, or after ``max_iters`` trial steps. Near a zero
-residual the method converges quadratically, so a realizable target needs
-tens of steps, not hundreds. Each restart's end point is decoded into a
-unitary and a spectrum, and its Choi distance to the target is re-checked
-through the dilation path; the re-checked residuals alone decide the early
-stop and the verdict, against two thresholds. LIKELY_NOT_REALIZABLE is
-numerical evidence from a local search, never a proof.
+and W an n×κ isometry. The searcher therefore runs over the isometries W,
+so the target is matched by construction: it drives the residual
+R = G − I_d ⊗ diag(p), between F's Gram matrix G and the nearest
+I_d ⊗ diag(p), to zero by Levenberg–Marquardt (``minimize``, NumPy only),
+multi-restarted from seeded random isometries. Steps dW = [W, W⊥]·C are
+taken in a chart centred at W and retracted to polar(W + dW) (Absil,
+Mahony & Sepulchre 2008, ch. 4); F = W·E is linear in W, so the Jacobian
+is plain linear algebra. A trial step costs one residual; the Jacobian is
+built at the start point and at accepted points only. A restart stops once
+a step lowers ‖R‖² by at most 1e-4 of itself or barely moves the point, or
+after ``max_iters`` trial steps. Near a zero residual the method converges
+quadratically, so a realizable target needs tens of steps, not hundreds.
+Each restart's end point is decoded into a unitary and a spectrum, and its
+Choi distance to the target is re-checked through the dilation path; the
+re-checked residuals alone decide the early stop and the verdict, against
+two thresholds. LIKELY_NOT_REALIZABLE is numerical evidence from a local
+search, never a proof.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ _STEP_STOP = 1e-10
 class LeastSquaresResult:
     """End point of one ``minimize`` run: ``status`` is 0 when a stop rule
     fired and 1 when ``maxiter`` trial steps ran out; ``nit`` counts trial
-    steps and ``nfev`` evaluations of the residual and its Jacobian."""
+    steps and ``nfev`` evaluations of the residual, nit + 1."""
 
     x: np.ndarray
     status: int
@@ -67,39 +71,37 @@ class LeastSquaresResult:
     nfev: int
 
 
-def minimize(fun, x0, args=(), *, options) -> LeastSquaresResult:
-    """Levenberg–Marquardt on ‖r(x)‖², where ``fun(x, *args)`` returns the
-    real residual vector r and its Jacobian J.
+def minimize(fun, x0, args=(), *, residual, retract, options) -> LeastSquaresResult:
+    """Levenberg–Marquardt on ‖r(x)‖²: ``fun(x, *args)`` returns the real
+    residual vector r and its Jacobian J over real step coordinates at x,
+    ``residual(x, *args)`` r alone, and ``retract(x, δ)`` the point a step δ
+    leads to (``np.add`` on ℝⁿ).
 
-    Each trial step solves (JᵀJ + μI)δ = −Jᵀr, through the smaller of JᵀJ
-    and JJᵀ (δ = −Jᵀ(JJᵀ + μI)⁻¹r is the same step), and is accepted when
-    it lowers ‖r‖². The damping μ starts at 1e-3·max diag(JᵀJ) and follows
-    Nielsen's update (Nielsen 1999, "Damping parameter in Marquardt's
-    method"). ``options["maxiter"]`` caps the trial steps. ``fun`` returns
-    J with r, so a rejected trial step costs one Jacobian it never uses.
-    Deterministic: the same input gives the same iterates. The search calls
-    this module-level name, so it stays rebindable for tracing and tests.
+    Each trial step solves (JᵀJ + μI)δ = −Jᵀr and is accepted when it lowers
+    ‖r‖². A trial point costs one ``residual``; ``fun`` runs only at the
+    start point and at accepted points. The damping μ starts at
+    1e-3·max diag(JᵀJ) and follows Nielsen's update (Nielsen 1999, "Damping
+    parameter in Marquardt's method"). ``options["maxiter"]`` caps the trial
+    steps. Deterministic: the same input gives the same iterates. The search
+    calls this module-level name, so it stays rebindable for tracing and
+    tests.
     """
-    x = np.array(x0, dtype=float)
+    x = x0
     r, jac = fun(x, *args)
     cost, nfev, nit = r @ r, 1, 0
     mu, nu = 1e-3 * np.max(np.sum(jac * jac, axis=0)), 2.0
     converged = cost == 0
     while not converged and nit < options["maxiter"]:
         grad = jac.T @ r
-        if jac.shape[0] <= jac.shape[1]:
-            gram = jac @ jac.T
-            gram[np.diag_indices_from(gram)] += mu
-            step = -jac.T @ np.linalg.solve(gram, r)
-        else:
-            gram = jac.T @ jac
-            gram[np.diag_indices_from(gram)] += mu
-            step = -np.linalg.solve(gram, grad)
+        gram = jac.T @ jac
+        gram[np.diag_indices_from(gram)] += mu
+        step = -np.linalg.solve(gram, grad)
         if np.linalg.norm(step) <= _STEP_STOP * np.linalg.norm(x):
             converged = True
             break
         nit += 1
-        trial_r, trial_jac = fun(x + step, *args)
+        trial = retract(x, step)
+        trial_r = residual(trial, *args)
         nfev += 1
         trial_cost = trial_r @ trial_r
         # Gain ratio: actual decrease of ‖r‖² over the decrease the
@@ -107,7 +109,8 @@ def minimize(fun, x0, args=(), *, options) -> LeastSquaresResult:
         rho = (cost - trial_cost) / (step @ (mu * step - grad))
         if rho > 0:
             converged = cost - trial_cost <= _DECREASE_STOP * cost
-            x, r, jac, cost = x + step, trial_r, trial_jac, trial_cost
+            x, cost = trial, trial_cost
+            r, jac = fun(x, *args)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         else:
@@ -208,22 +211,6 @@ def _to_u_layout(rows: np.ndarray, d: int, dp: int) -> np.ndarray:
     return np.take(flat, _u_layout(d, dp), axis=-1).reshape(rows.shape)
 
 
-def _kraus_columns(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
-    """Decode x into (M, eigenpairs of M†M, (M†M)^{-1/2}, Fm).
-
-    x holds the real, then the imaginary parts of a free n×κ matrix M
-    (n = d·dp, κ = len(kraus)). Its polar factor W = M(M†M)^{-1/2} is an
-    isometry, so F = W·E is a Kraus set of the target for every x; Fm holds
-    F in U's layout, one column per input |i, s⟩.
-    """
-    n = d * dp
-    half = n * len(kraus)
-    m = (x[:half] + 1j * x[half:]).reshape(n, -1)
-    sigma, v = np.linalg.eigh(m.conj().T @ m)
-    q = (v / np.sqrt(sigma)) @ v.conj().T
-    return m, sigma, v, q, _to_u_layout(m @ q @ kraus, d, dp)
-
-
 def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
     """p_s = tr(G_ss)/d: the I_d ⊗ diag(p) closest to G = Fm†Fm."""
     return g.diagonal().real.reshape(d, dp).sum(axis=0) / d
@@ -265,74 +252,85 @@ def _residual_vector(h: np.ndarray, d: int, dp: int) -> np.ndarray:
     return r
 
 
-def _kraus_derivatives(m, sigma, v, q, kraus, d: int, dp: int) -> np.ndarray:
-    """dF/dx for the Kraus rows F = W·E, from ``_kraus_columns``' output:
-    indexed [real or imaginary part of x, α, j, row of F, column of F].
-
-    The real part of x's entry (α, j) moves M along dM = e_α e_jᵀ, the
-    imaginary part along i·dM. Through W = M·S^{-1/2}, S = M†M,
-    d(S^{-1/2}) = V(Φ ∘ V†dS V)V† with Φ_kl = (σ_k^{-1/2} − σ_l^{-1/2}) /
-    (σ_k − σ_l), closed form below. With M̃ = MV and Ẽ = V†E, dF splits into
-    a part complex linear in dM, Λ = dM·Q·E + M̃(Φ ∘ V†M†dM V)Ẽ, and an
-    antilinear one, Ω = M̃(Φ ∘ V†dM†M V)Ẽ, so dF is Λ + Ω along dM and
-    i(Λ − Ω) along i·dM. For the unit dM both are rank-one Hadamard
-    products, so each is one matmul for all (α, j).
-    """
-    n, kappa = d * dp, len(kraus)
-    root = np.sqrt(sigma)
-    phi = -1.0 / (root[:, None] * root * (root[:, None] + root))
-    mv, vk = m @ v, v.conj().T @ kraus
-    lam = (mv[:, None, :] * mv.conj()).reshape(n * n, kappa) @ phi
-    lam = (lam @ (v.T[:, :, None] * vk[:, None, :]).reshape(kappa, -1)).reshape(
-        n, n, kappa, n
-    )
-    lam.reshape(n * n, kappa, n)[:: n + 1] += q @ kraus
-    omega = (mv[:, None, :] * v.conj()).reshape(n * kappa, kappa) @ phi
-    omega = (omega @ (mv.T[:, :, None] * vk[:, None, :]).reshape(kappa, -1)).reshape(
-        n, kappa, n, n
-    )
-    lam, omega = lam.transpose(1, 2, 0, 3), omega.transpose(2, 1, 0, 3)
-    df = np.empty((2, n, kappa, n, n), dtype=complex)
-    np.add(lam, omega, out=df[0])
-    np.subtract(lam, omega, out=df[1])
-    df[1] *= 1j
-    return df
+def _polar(m: np.ndarray) -> np.ndarray:
+    """The polar factor of m, the isometry nearest to it."""
+    left, _, right = np.linalg.svd(m, full_matrices=False)
+    return left @ right
 
 
-def _objective_and_grad(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
-    """The residual r of R = G − I_d ⊗ diag(p), for G = Fm†Fm and
-    p = ``_spectrum(G)`` (see ``_residual_vector``), and its exact Jacobian
-    J = ∂r/∂x, one column per entry of x.
+def _frame(w: np.ndarray) -> np.ndarray:
+    """V = [W, W⊥], W followed by an orthonormal basis of its complement;
+    V = W at full Kraus rank (κ = n)."""
+    n, kappa = w.shape
+    if kappa == n:
+        return w
+    return np.hstack([w, np.linalg.qr(w, mode="complete")[0][:, kappa:]])
 
-    ``kraus`` holds the rows vec(E_j) of the target's minimal Kraus set; see
-    ``_kraus_columns`` for x. ‖r‖² is zero exactly when Fm's columns, scaled
-    by 1/√p_s, are orthonormal: then they are columns of a unitary that
-    realizes the target with spectrum p.
-    """
-    n = d * dp
-    m, sigma, v, q, fm = _kraus_columns(x, kraus, d, dp)
+
+@lru_cache(maxsize=None)
+def _tangent_basis(n: int, kappa: int) -> np.ndarray:
+    """Coefficients C_q (2nκ − κ², n, κ) of an orthonormal real basis of
+    the steps dW = V·C at an n×κ isometry W. C's top κ×κ block is i·H, H
+    Hermitian in the coordinates of ``_residual_terms``, since polar(W + dW)
+    discards a Hermitian one; the real and the imaginary part of each entry
+    of the free lower block follow. Built once per (n, κ), read-only."""
+    top, lower = kappa * kappa, (n - kappa) * kappa
+    a, b, u, w = _residual_terms(kappa)
+    herm = np.zeros((top, 2 * top))
+    herm[np.arange(top), a] = u
+    herm[np.arange(top), b] += w
+    basis = np.zeros((top + 2 * lower, n, kappa), dtype=complex)
+    basis[:top, :kappa] = 1j * herm.view(complex).reshape(top, kappa, kappa)
+    unit = np.eye(2 * lower).view(complex)
+    basis[top:, kappa:] = unit.reshape(2 * lower, n - kappa, kappa)
+    basis.flags.writeable = False
+    return basis
+
+
+def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """polar(W + dW), with dW = V·Σ_q step_q·C_q (``_tangent_basis``)."""
+    basis = _tangent_basis(*w.shape)
+    tangent = step @ basis.reshape(len(basis), -1)
+    return _polar(w + _frame(w) @ tangent.reshape(w.shape))
+
+
+def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int) -> np.ndarray:
+    """The residual r of R = G − I_d ⊗ diag(p) at the n×κ isometry w: G =
+    Fm†Fm for Fm the Kraus set F = w·E (``kraus`` holds the rows vec(E_j))
+    in U's layout, p = ``_spectrum(G)``. ‖r‖² is zero exactly when Fm's
+    columns, scaled by 1/√p_s, are orthonormal: then they are columns of a
+    unitary that realizes the target with spectrum p."""
+    fm = _to_u_layout(w @ kraus, d, dp)
+    return _residual_vector(fm.conj().T @ fm, d, dp)
+
+
+def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+    """``_residual`` at w and its exact Jacobian, the derivative of r along
+    each dW_q = V·C_q of ``_tangent_basis``, which is also its derivative
+    through ``_retract``."""
+    fm = _to_u_layout(w @ kraus, d, dp)
     residual = _residual_vector(fm.conj().T @ fm, d, dp)
-    # dG = Fm†dFm + h.c. is twice the Hermitian part of Fm†dFm, written
-    # over dFm, the largest array here, to keep the peak memory down.
-    dfm = _to_u_layout(_kraus_derivatives(m, sigma, v, q, kraus, d, dp), d, dp)
+    # F = W·E is linear in W, so dF = dW_q·E, and dG = Fm†dFm + h.c. is
+    # twice the Hermitian part of Fm†dFm, written over dFm, the largest
+    # array here, to keep the peak memory down.
+    dfm = _to_u_layout(_frame(w) @ _tangent_basis(*w.shape) @ kraus, d, dp)
     jac = _residual_vector(np.matmul(2.0 * fm.conj().T, dfm, out=dfm), d, dp)
-    return residual, jac.reshape(-1, n * n).T
+    return residual, jac.T
 
 
-def _decode_point(x: np.ndarray, kraus: np.ndarray, d: int, dp: int):
-    """The realization (U, p) that x encodes: p = ``_spectrum(G)`` and U the
-    polar factor of Fm with column (i, s) scaled by 1/√p_s. Columns with
+def _decode_point(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+    """The realization (U, p) at the isometry w: p = ``_spectrum(G)`` and U
+    the polar factor of Fm with column (i, s) scaled by 1/√p_s. Columns with
     p_s ≤ ``ENV_SPECTRUM_CUTOFF`` are left zero, since scaling their
     round-off by 1/√p_s would amplify it into a non-realization; the polar
     factor completes them. p is normalized because E lacks the Choi
     eigenvalues below the Kraus rank cutoff."""
-    fm = _kraus_columns(x, kraus, d, dp)[-1]
+    fm = _to_u_layout(w @ kraus, d, dp)
     p = _spectrum(fm.conj().T @ fm, d, dp)
     scale = np.divide(
         1.0, np.sqrt(p), out=np.zeros(dp), where=p > ENV_SPECTRUM_CUTOFF
     )
-    left, _, right = np.linalg.svd(fm * np.tile(scale, d))
-    return left @ right, p / p.sum()
+    return _polar(fm * np.tile(scale, d)), p / p.sum()
 
 
 def _minimal_kraus_rows(target: Channel) -> np.ndarray:
@@ -369,17 +367,18 @@ def search_mixed_env_realization(
     """
     d, dp = target.d_in, target.d_out
     kraus = _minimal_kraus_rows(target)
-    n_params = 2 * d * dp * len(kraus)
 
     best = None
     history = []
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])
-        x0 = rng.normal(scale=1.0, size=n_params)
+        real, imag = rng.normal(scale=1.0, size=(2, d * dp, len(kraus)))
         res = minimize(
             _objective_and_grad,
-            x0,
+            _polar(real + 1j * imag),
             args=(kraus, d, dp),
+            residual=_residual,
+            retract=_retract,
             options={"maxiter": config.max_iters},
         )
         unitary, spectrum = _decode_point(res.x, kraus, d, dp)

@@ -9,7 +9,6 @@ from envchan import (
     ChoiMatrix,
     KrausSet,
     apply,
-    apply_from_choi,
     choi_to_kraus,
     distance,
     identity_channel,
@@ -21,6 +20,7 @@ from envchan import (
     random_density_matrix,
     validate_density_matrix,
 )
+from envchan.channels import apply_from_choi
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 S = 1 / np.sqrt(2)

@@ -257,8 +257,8 @@ class TestSearch:
         assert len(data["results"]["residual_history"]) == 5
 
     def test_undecided_exit_five(self, capsys, tmp_path):
-        # One restart cut at 8 iterations stops between the two thresholds
-        # (about 3e-5) on this realizable target.
+        # One restart cut at 5 iterations stops between the two thresholds
+        # (about 2e-4) on this realizable target.
         from envchan import Dilation, channel_from_dilation
 
         rng = np.random.default_rng(4)
@@ -272,7 +272,7 @@ class TestSearch:
         path = tmp_path / "realizable.json"
         save_json(channel_to_dict(channel_from_dilation(dil)), path)
         code, data, _ = run_json(
-            capsys, "search", str(path), "--restarts", "1", "--max-iters", "8"
+            capsys, "search", str(path), "--restarts", "1", "--max-iters", "5"
         )
         assert code == 5
         results = data["results"]

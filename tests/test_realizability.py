@@ -26,8 +26,12 @@ import envchan.realizability as realizability
 from envchan.dilation import _kraus_rows
 from envchan.realizability import (
     _decode_point,
+    _frame,
     _minimal_kraus_rows,
     _objective_and_grad,
+    _polar,
+    _retract,
+    _tangent_basis,
     minimize,
 )
 from envchan.tolerances import ENV_SPECTRUM_CUTOFF
@@ -55,7 +59,7 @@ def realizable_target(d, dp, rng):
 
 def realizable_point(d, dp, spectrum, rng):
     """A target with a known dilation (Haar U, ``spectrum``), its Kraus rows
-    and the evaluator's point x for that dilation: F_{s,a} = √p_s·K_{s,a},
+    and the evaluator's point W for that dilation: F_{s,a} = √p_s·K_{s,a},
     written as W·E with W = A·E⁺."""
     unitary = haar_unitary(d * dp, rng)
     target = channel_from_dilation(
@@ -69,8 +73,14 @@ def realizable_point(d, dp, spectrum, rng):
     )
     kraus = _minimal_kraus_rows(target)
     rows = np.sqrt(np.repeat(spectrum, d))[:, None] * _kraus_rows(unitary, d, dp)
-    w = rows @ np.linalg.pinv(kraus)
-    return target, kraus, np.concatenate([w.real.ravel(), w.imag.ravel()])
+    return target, kraus, rows @ np.linalg.pinv(kraus)
+
+
+def random_isometry(n, kappa, rng):
+    """The polar factor of a complex Gaussian n×κ matrix, as the search
+    draws its start points."""
+    real, imag = rng.normal(size=(2, n, kappa))
+    return _polar(real + 1j * imag)
 
 
 class TestParameterCount:
@@ -142,17 +152,14 @@ class TestSearchConfig:
         assert SearchConfig(seed=seed).seed == seed
 
 
-def gram_residual(x, kraus, d, dp):
-    """R = G − I_d ⊗ diag(p) at the point x, computed here without the
-    evaluator: W from an SVD, Fm through the dilation's Kraus layout, G =
-    Fm†Fm and p_s the mean of G's diagonal entries (i, s) over i."""
+def gram_residual(w, kraus, d, dp):
+    """R = G − I_d ⊗ diag(p) at the isometry w, computed here without the
+    evaluator: Fm through the dilation's Kraus layout, G = Fm†Fm and p_s the
+    mean of G's diagonal entries (i, s) over i."""
     n = d * dp
-    half = n * len(kraus)
-    m = (x[:half] + 1j * x[half:]).reshape(n, -1)
-    left, _, right = np.linalg.svd(m, full_matrices=False)
     fm = np.empty(n * n, dtype=complex)
     fm[_kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel()] = (
-        left @ right @ kraus
+        w @ kraus
     ).ravel()
     fm = fm.reshape(n, n)
     g = fm.conj().T @ fm
@@ -169,21 +176,24 @@ def residual_entries(matrix):
     )
 
 
-def check_residual_and_jacobian(x, kraus, d, dp, eps=1e-6):
+def check_residual_and_jacobian(w, kraus, d, dp, eps=1e-6):
     """Compare the evaluator's r with the independent R, and its J with
-    central differences of the independent r; returns ‖r‖²."""
-    residual, jac = _objective_and_grad(x, kraus, d, dp)
-    expected = gram_residual(x, kraus, d, dp)
+    central differences of the independent r along the retraction; returns
+    ‖r‖²."""
+    n, kappa = w.shape
+    residual, jac = _objective_and_grad(w, kraus, d, dp)
+    expected = gram_residual(w, kraus, d, dp)
     np.testing.assert_allclose(residual, residual_entries(expected), atol=1e-12)
     norm = np.vdot(expected, expected).real
     assert residual @ residual == pytest.approx(norm, rel=1e-12, abs=1e-28)
-    assert jac.shape == (len(residual), len(x))
+    # One column per real coordinate of the isometries: 2nκ − κ².
+    assert jac.shape == (len(residual), 2 * n * kappa - kappa * kappa)
     fd = np.empty_like(jac)
-    for k in range(len(x)):
-        step = np.zeros(len(x))
+    for k in range(jac.shape[1]):
+        step = np.zeros(jac.shape[1])
         step[k] = eps
-        up = residual_entries(gram_residual(x + step, kraus, d, dp))
-        down = residual_entries(gram_residual(x - step, kraus, d, dp))
+        up = residual_entries(gram_residual(_retract(w, step), kraus, d, dp))
+        down = residual_entries(gram_residual(_retract(w, -step), kraus, d, dp))
         fd[:, k] = (up - down) / (2 * eps)
     assert np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1.0) < 1e-6
     return norm
@@ -199,8 +209,8 @@ class TestGradient:
             target = realizable_target(d, dp, rng)
             kraus = _minimal_kraus_rows(target)
             assert len(kraus) == d * dp
-            x = rng.normal(size=2 * d * dp * len(kraus))
-            assert check_residual_and_jacobian(x, kraus, d, dp) > 0.0
+            w = random_isometry(d * dp, len(kraus), rng)
+            assert check_residual_and_jacobian(w, kraus, d, dp) > 0.0
 
     @pytest.mark.parametrize(
         "target",
@@ -212,13 +222,31 @@ class TestGradient:
         ids=["identity-2", "identity-3", "rank-2"],
     )
     def test_matches_finite_differences_below_full_rank(self, target):
-        # With κ < n, W is a tall isometry and M†M is κ×κ.
+        # With κ < n, W is a tall isometry and steps also turn it into its
+        # complement W⊥.
         d, dp = target.d_in, target.d_out
         kraus = _minimal_kraus_rows(target)
         assert len(kraus) < d * dp
         rng = np.random.default_rng([16, d, len(kraus)])
-        x = rng.normal(size=2 * d * dp * len(kraus))
-        assert check_residual_and_jacobian(x, kraus, d, dp) > 0.0
+        w = random_isometry(d * dp, len(kraus), rng)
+        assert check_residual_and_jacobian(w, kraus, d, dp) > 0.0
+
+    @pytest.mark.parametrize("n, kappa", [(4, 4), (4, 2), (9, 3), (6, 1)])
+    def test_steps_are_orthonormal_tangents(self, n, kappa):
+        # The steps dW_q = V·C_q are orthonormal in the real inner product
+        # Re tr(X†Y), as many as the isometries' dimension, and tangent to
+        # them (W†dW anti-Hermitian); the retraction keeps an isometry.
+        rng = np.random.default_rng([19, n, kappa])
+        w = random_isometry(n, kappa, rng)
+        steps = _frame(w) @ _tangent_basis(n, kappa)
+        assert len(steps) == 2 * n * kappa - kappa * kappa
+        flat = steps.reshape(len(steps), -1)
+        gram = (flat.conj() @ flat.T).real
+        np.testing.assert_allclose(gram, np.eye(len(steps)), atol=1e-12)
+        inner = w.conj().T @ steps
+        np.testing.assert_allclose(inner, -inner.conj().transpose(0, 2, 1), atol=1e-12)
+        moved = _retract(w, rng.normal(size=len(steps)))
+        np.testing.assert_allclose(moved.conj().T @ moved, np.eye(kappa), atol=1e-12)
 
 
 class TestDecode:
@@ -229,11 +257,11 @@ class TestDecode:
         # independent re-check accepts.
         rng = np.random.default_rng([17, d, dp])
         spectrum = rng.dirichlet(np.ones(dp))
-        target, kraus, x = realizable_point(d, dp, spectrum, rng)
-        residual, jac = _objective_and_grad(x, kraus, d, dp)
+        target, kraus, w = realizable_point(d, dp, spectrum, rng)
+        residual, jac = _objective_and_grad(w, kraus, d, dp)
         assert residual @ residual < 1e-26
         assert np.linalg.norm(jac.T @ residual) < 1e-12
-        unitary, decoded = _decode_point(x, kraus, d, dp)
+        unitary, decoded = _decode_point(w, kraus, d, dp)
         np.testing.assert_allclose(decoded, spectrum, atol=1e-12)
         assert realization_residual(target, unitary, decoded) < 1e-12
 
@@ -241,8 +269,8 @@ class TestDecode:
         # p_1 = 0 leaves Fm's s = 1 columns exactly zero; decoding must not
         # divide by zero, and the polar factor completes those columns.
         rng = np.random.default_rng(18)
-        target, kraus, x = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
-        unitary, spectrum = _decode_point(x, kraus, 2, 2)
+        target, kraus, w = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
+        unitary, spectrum = _decode_point(w, kraus, 2, 2)
         assert spectrum[1] == 0.0
         dilation = Dilation(
             d_in=2,
@@ -259,12 +287,9 @@ class TestDecode:
         # by 1/√p_1 that noise would no longer be orthonormal and would
         # wreck the polar factor; decoding must treat p_1 as zero.
         rng = np.random.default_rng(18)
-        target, kraus, x = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
-        half = len(x) // 2
-        w = (x[:half] + 1j * x[half:]).reshape(4, -1)
+        target, kraus, w = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
         w[2:] = 1e-11 * (rng.normal(size=w[2:].shape) + 1j * rng.normal(size=w[2:].shape))
-        x = np.concatenate([w.real.ravel(), w.imag.ravel()])
-        unitary, spectrum = _decode_point(x, kraus, 2, 2)
+        unitary, spectrum = _decode_point(w, kraus, 2, 2)
         assert 0.0 < spectrum[1] <= ENV_SPECTRUM_CUTOFF
         assert realization_residual(target, unitary, spectrum) < 1e-9
 
@@ -277,22 +302,34 @@ def rosenbrock(x):
     return residual, jac
 
 
+# Run on ℝⁿ, where a step's retraction is x + δ.
+EUCLIDEAN = {"residual": lambda x: rosenbrock(x)[0], "retract": np.add}
+
+
 class TestMinimize:
     def test_converges_on_a_zero_residual(self):
-        res = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 200})
+        res = minimize(
+            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
+        )
         assert res.status == 0
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-10)
         assert 0 < res.nit < 200
         assert res.nfev == res.nit + 1
 
     def test_capped_run_reports_status_one(self):
-        res = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 3})
+        res = minimize(
+            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 3}
+        )
         assert res.status == 1
         assert res.nit == 3
 
     def test_deterministic(self):
-        a = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 200})
-        b = minimize(rosenbrock, np.array([-1.2, 1.0]), options={"maxiter": 200})
+        a = minimize(
+            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
+        )
+        b = minimize(
+            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
+        )
         np.testing.assert_array_equal(a.x, b.x)
         assert (a.nit, a.nfev) == (b.nit, b.nfev)
 
@@ -305,7 +342,14 @@ class TestMinimize:
             return residual, np.stack([np.ones(3), t], axis=1)
 
         x0 = np.zeros(2)
-        res = minimize(line, x0, args=(1.0,), options={"maxiter": 100})
+        res = minimize(
+            line,
+            x0,
+            args=(1.0,),
+            residual=lambda x, shift: line(x, shift)[0],
+            retract=np.add,
+            options={"maxiter": 100},
+        )
         assert res.status == 0
         np.testing.assert_allclose(res.x, [11.0 / 6.0, 1.5], atol=1e-6)
         np.testing.assert_array_equal(x0, np.zeros(2))
@@ -403,6 +447,56 @@ class TestSearch:
         assert calls["maxiter"] == [40, 40]
         assert calls["objective"] > 2
         assert calls["recheck"] == 2
+
+    def test_jacobian_only_at_start_and_accepted_points(self, monkeypatch):
+        # A trial point costs one residual; J is built at the start point
+        # and at each accepted point, and never at a rejected one. Accepted
+        # means ‖r‖² went down, so the trial costs alone fix the order in
+        # which the two evaluators must run.
+        calls, results = [], []
+        objective, residual = realizability._objective_and_grad, realizability._residual
+        minimize = realizability.minimize
+
+        def counted_objective(*args):
+            r, jac = objective(*args)
+            calls.append(("jacobian", r @ r))
+            return r, jac
+
+        def counted_residual(*args):
+            r = residual(*args)
+            calls.append(("trial", r @ r))
+            return r
+
+        def kept_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(realizability, "_objective_and_grad", counted_objective)
+        monkeypatch.setattr(realizability, "_residual", counted_residual)
+        monkeypatch.setattr(realizability, "minimize", kept_minimize)
+        target = build_counterexample(
+            CounterexampleParams(2, 2, np.diag([0.5, 0.5]))
+        )
+        search_mixed_env_realization(target, SearchConfig(restarts=1, max_iters=60))
+        trials = [cost for kind, cost in calls if kind == "trial"]
+        expected, cost = [("jacobian", calls[0][1])], calls[0][1]
+        for trial in trials:
+            expected.append(("trial", trial))
+            if trial < cost:
+                expected.append(("jacobian", trial))
+                cost = trial
+        assert calls == expected
+        accepted = len(expected) - 1 - len(trials)
+        assert 0 < accepted < len(trials)
+        (res,) = results
+        assert res.nfev == res.nit + 1 == len(trials) + 1
+
+        # A restart cut by the cap still ends on an isometry.
+        target = realizable_target(4, 4, np.random.default_rng(20))
+        search_mixed_env_realization(target, SearchConfig(restarts=1, max_iters=10))
+        w = results[-1].x
+        assert results[-1].status == 1
+        assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])) <= 1e-12
 
     @pytest.mark.parametrize(
         "target, verdict",

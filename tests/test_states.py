@@ -12,8 +12,8 @@ from envchan import (
     random_density_matrix,
     random_pure_state,
     validate_density_matrix,
-    validate_pure_state,
 )
+from envchan.states import validate_pure_state
 
 
 class TestConstruction:
