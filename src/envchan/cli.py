@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         else:
             json.dump(payload, sys.stdout, indent=2)
             sys.stdout.write("\n")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

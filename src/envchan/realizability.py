@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from statistics import median
+from typing import ClassVar
 
 import numpy as np
 
@@ -150,28 +151,26 @@ def parameter_count(d: int, d_fin: int) -> int:
 class SearchConfig:
     """Configuration of the multi-restart search.
 
-    ``realizable_threshold`` (ε_r) and ``nonrealizable_threshold`` (ε_nr)
-    split residuals into REALIZED (< ε_r), LIKELY_NOT_REALIZABLE (> ε_nr
-    after all restarts) and UNDECIDED (in between). The search is a pure
-    function of (target, config): per-restart randomness derives from
-    (seed, restart index).
+    Three fields are settable: ``restarts``, ``max_iters`` and ``seed``. The
+    class constants ``realizable_threshold`` (ε_r = 1e-6) and
+    ``nonrealizable_threshold`` (ε_nr = 1e-3) split residuals into REALIZED
+    (< ε_r), LIKELY_NOT_REALIZABLE (> ε_nr after all restarts) and UNDECIDED
+    (in between). The search is a pure function of (target, config):
+    per-restart randomness derives from (seed, restart index).
     """
+
+    realizable_threshold: ClassVar[float] = 1e-6
+    nonrealizable_threshold: ClassVar[float] = 1e-3
 
     restarts: int = 50
     max_iters: int = 2000
     seed: int = 0
-    realizable_threshold: float = 1e-6
-    nonrealizable_threshold: float = 1e-3
 
     def __post_init__(self):
         _check_count("restarts", self.restarts)
         _check_count("max_iters", self.max_iters)
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if not 0 < self.realizable_threshold < self.nonrealizable_threshold:
-            raise ValueError(
-                "realizable_threshold must be below nonrealizable_threshold"
-            )
 
 
 @dataclass(frozen=True, eq=False)

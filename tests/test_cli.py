@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from envchan import (
+    Channel,
     CounterexampleParams,
+    KrausSet,
     SearchConfig,
     build_counterexample,
     distance,
     identity_channel,
+    match_family,
     random_density_matrix,
 )
 from envchan.cli import _search_config, build_parser, main
@@ -29,6 +32,7 @@ from envchan.io import (
     state_from_dict,
     state_to_dict,
 )
+from envchan.tolerances import FILE
 
 
 def run(capsys, *argv):
@@ -210,6 +214,20 @@ class TestCertify:
         assert code == 3
         assert data["results"]["claim"] == "INCONCLUSIVE"
         assert data["results"]["narrative"]
+
+    def test_near_member_file_is_inconclusive(self, capsys, tmp_path):
+        # Scaling the last Kraus operator by 1 + 4e-9 keeps the file within
+        # its 1e-8 load tolerance but puts tr(rho') 4e-9 above 1.
+        member = build_counterexample(CounterexampleParams(3, 2, np.diag([0.5, 0.5])))
+        ops = list(member.kraus.operators)
+        ops[-1] = ops[-1] * (1 + 4e-9)
+        path = tmp_path / "near.json"
+        save_json(channel_to_dict(Channel(KrausSet(tuple(ops), atol=FILE))), path)
+        assert match_family(channel_from_dict(load_json(path))) is None
+        code, data, err = run_json(capsys, "certify", str(path))
+        assert code == 3
+        assert err == ""
+        assert data["results"]["claim"] == "INCONCLUSIVE"
 
     @pytest.mark.parametrize(
         "flags",

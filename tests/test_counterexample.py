@@ -253,6 +253,17 @@ class TestMatchFamily:
         ops[1][0, 1] = 1.0
         assert match_family(Channel.from_kraus(ops)) is None
 
+    def test_rejects_distinct_pure_images(self):
+        # |0⟩ → |0'⟩, |1⟩ → |1'⟩, |2⟩ → I/2: the first image is pure and the
+        # last one mixed, but the second image differs from the first, so
+        # the Choi comparison with the rebuilt member must fail.
+        ops = [np.zeros((2, 3), dtype=complex) for _ in range(4)]
+        ops[0][0, 0] = 1.0
+        ops[1][1, 1] = 1.0
+        ops[2][0, 2] = S
+        ops[3][1, 2] = S
+        assert match_family(Channel.from_kraus(ops)) is None
+
     def test_rejects_d2_zero_overlap_member(self):
         # Family-shaped channel at d = 2 whose mixed image misses |0'⟩: the
         # certificate's rank-2 branch needs the overlap, so no match.
