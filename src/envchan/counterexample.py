@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, KrausSet, _frozen_copy, apply, distance
+from .channels import Channel, _frozen_copy, apply, distance
 from .dilation import Dilation
 from .linalg import _is_integer, complete_unitary, eig_hermitian
 from .states import basis_state, is_pure, projector, purity, validate_density_matrix
-from .tolerances import CHANNEL, ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
+from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
 
 NOT_REALIZABLE = "NOT_REALIZABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -77,18 +77,13 @@ class CounterexampleParams:
         return float(self.rho_target[0, 0].real)
 
 
-def _family_channel(
-    d: int, d_fin: int, phi: np.ndarray, rho: np.ndarray, atol: float = CHANNEL
-) -> Channel:
+def _family_channel(d: int, d_fin: int, phi: np.ndarray, rho: np.ndarray) -> Channel:
     """The family member with common pure image |φ⟩⟨φ| and mixed image ρ.
 
     Kraus operators: |φ⟩⟨i| for each collapsing basis state i < d−1, plus
     √λ_k |e_k⟩⟨d−1| for each spectral component ρ = Σ λ_k |e_k⟩⟨e_k| above
     the spectral cutoff. The set is minimal (the vectorized operators are
     mutually orthogonal) and reproduces the family action formula exactly.
-    It is checked for trace preservation within ``atol``, so that
-    :func:`match_family` holds it to the tolerance of the channel it is
-    compared with.
     """
     ops = []
     for i in range(d - 1):
@@ -102,7 +97,7 @@ def _family_channel(
         op = np.zeros((d_fin, d), dtype=complex)
         op[:, d - 1] = np.sqrt(weight) * vec
         ops.append(op)
-    return Channel(KrausSet(tuple(ops), atol=atol))
+    return Channel.from_kraus(ops)
 
 
 def build_counterexample(p: CounterexampleParams) -> Channel:
@@ -267,9 +262,10 @@ def match_family(channel: Channel) -> FamilyMatch | None:
     collapsed image and total decoherence: an image off by more than
     ``FAMILY_MATCH`` puts the Choi distance above it.
 
-    The rebuilt member is checked at the tolerance ``channel`` was accepted
-    at (1e-8 for a channel read from a file), so a near-member is rejected
-    by the checks above, never by an error.
+    ρ' is validated before the rebuild, so its eigenvalues sum to 1 within
+    1e-12 and the rebuilt member is trace preserving well within the 1e-10
+    Kraus check: a near-member is rejected by the checks above, never by an
+    error.
 
     Returns None if the channel is not in the family or fails a family
     precondition (e.g. d = 2 with zero overlap).
@@ -285,7 +281,7 @@ def match_family(channel: Channel) -> FamilyMatch | None:
         params = CounterexampleParams(d, d_fin, rotation @ rho_mixed @ rotation.conj().T)
     except ValueError:
         return None
-    candidate = _family_channel(d, d_fin, phi, rho_mixed, channel.kraus.atol)
+    candidate = _family_channel(d, d_fin, phi, rho_mixed)
     dist = distance(channel, candidate)
     if dist > FAMILY_MATCH:
         return None
