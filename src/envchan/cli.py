@@ -6,6 +6,13 @@ or standard output: certify, search and perturb a report envelope around
 their results, build, convert and apply the bare file payload, params an
 integer. Human-oriented errors go to standard error.
 
+``build counterexample`` and ``certify`` without a channel file take the
+family flags: --d, --d-fin and --rho-target, the comma-separated
+eigenvalues of the mixed image ρ', are required; --rho-basis names a JSON
+file ``{"matrix": [[[re, im], ...], ...]}`` holding a unitary whose columns
+are ρ''s eigenvectors (the one JSON input read without ``format_version``).
+Without it ρ' is diagonal.
+
 Exit codes:
     0  success (including certificate NOT_REALIZABLE and search REALIZED)
     2  invalid input: bad flags, malformed files, failed validation
@@ -68,52 +75,23 @@ def _jsonable(value):
     return value
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse complex number {text!r}") from exc
-
-
 def _counterexample_params(args) -> CounterexampleParams:
-    """Build family parameters from CLI flags.
+    """Build family parameters from the family flags.
 
-    Either --alpha/--beta (shorthand for ρ' = |α|²|0'⟩⟨0'| + |β|²|1'⟩⟨1'|)
-    or --rho-target with comma-separated eigenvalues, optionally rotated by
-    the unitary in --rho-basis.
+    ρ' is diag(--rho-target), rotated by the unitary in --rho-basis (whose
+    columns are the eigenvectors) when that flag is given.
+    :class:`CounterexampleParams` checks the dimensions, the shape and ρ'.
     """
-    if args.d is None or args.d_fin is None:
-        raise ValueError("--d and --d-fin are required")
-    if args.d < 2 or args.d_fin < 2:
-        raise ValueError("dimensions must be at least 2")
-    if args.alpha is not None or args.beta is not None:
-        if args.alpha is None or args.beta is None:
-            raise ValueError("--alpha and --beta must be given together")
-        if args.rho_target is not None:
-            raise ValueError("--rho-target conflicts with --alpha/--beta")
-        alpha = _parse_complex(args.alpha)
-        beta = _parse_complex(args.beta)
-        if alpha == 0 or beta == 0:
-            raise ValueError("coefficients must be nonzero")
-        eigenvalues = np.zeros(args.d_fin)
-        eigenvalues[0] = abs(alpha) ** 2
-        eigenvalues[1] = abs(beta) ** 2
-    elif args.rho_target is not None:
-        try:
-            eigenvalues = np.array(
-                [float(x) for x in args.rho_target.split(",")], dtype=float
-            )
-        except ValueError as exc:
-            raise ValueError("cannot parse --rho-target eigenvalue list") from exc
-        if len(eigenvalues) != args.d_fin:
-            raise ValueError("shape mismatch")
-    else:
-        raise ValueError("provide either --alpha/--beta or --rho-target")
-
+    if args.d is None or args.d_fin is None or args.rho_target is None:
+        raise ValueError("--d, --d-fin and --rho-target are required")
+    try:
+        eigenvalues = [float(x) for x in args.rho_target.split(",")]
+    except ValueError as exc:
+        raise ValueError("cannot parse --rho-target eigenvalue list") from exc
     rho = np.diag(eigenvalues).astype(complex)
-    if getattr(args, "rho_basis", None):
+    if args.rho_basis:
         basis = io.matrix_from_pairs(io.load_json(args.rho_basis).get("matrix"))
-        if basis.shape != (args.d_fin, args.d_fin) or not is_unitary(basis):
+        if basis.shape != rho.shape or not is_unitary(basis):
             raise ValueError("not unitary")
         rho = basis @ rho @ basis.conj().T
     return CounterexampleParams(args.d, args.d_fin, rho)
@@ -141,7 +119,7 @@ def cmd_build(args) -> tuple[dict, int]:
 def cmd_certify(args) -> tuple[dict, int]:
     membership = None
     if args.channel is not None:
-        family = (args.d, args.d_fin, args.alpha, args.beta, args.rho_target, args.rho_basis)
+        family = (args.d, args.d_fin, args.rho_target, args.rho_basis)
         if any(flag is not None for flag in family):
             raise ValueError("give a channel file or family flags, not both")
         channel = _load_channel(args.channel)
@@ -220,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_family_flags(p):
         p.add_argument("--d", type=int, help="initial-system dimension")
         p.add_argument("--d-fin", type=int, help="final-system dimension")
-        p.add_argument("--alpha", help="amplitude kept on |0'> (complex)")
-        p.add_argument("--beta", help="amplitude moved to |1'> (complex)")
         p.add_argument(
             "--rho-target",
             help="comma-separated eigenvalues of the mixed image",

@@ -5,6 +5,10 @@ written as nested lists of ``[re, im]`` pairs; floats use Python's shortest
 round-trip representation, so writing and re-reading is bit-exact.
 Validation of loaded objects uses a looser tolerance (1e-8) than internal
 construction, to absorb decimal round-trips of files produced elsewhere.
+That looser load does not carry over to ``certify FILE``: family
+membership needs the mixed image's trace to be 1 within 1e-12, so a member
+written with fewer than about 12 significant digits loads but is
+INCONCLUSIVE.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from envchan import (
     distance,
     identity_channel,
     match_family,
+    random_channel,
     random_density_matrix,
 )
 from envchan.cli import _search_config, build_parser, main
@@ -28,6 +30,7 @@ from envchan.io import (
     channel_to_dict,
     load_json,
     matrix_from_pairs,
+    matrix_to_pairs,
     save_json,
     state_from_dict,
     state_to_dict,
@@ -76,19 +79,6 @@ class TestBuild:
         )
         assert distance(channel_from_dict(data), expected) < 1e-12
 
-    def test_alpha_beta_shorthand(self, capsys):
-        s = str(1 / np.sqrt(2))
-        code, data, _ = run_json(
-            capsys,
-            "build", "counterexample", "--d", "3", "--d-fin", "2",
-            "--alpha", s, "--beta", s,
-        )
-        assert code == 0
-        expected = build_counterexample(
-            CounterexampleParams(3, 2, np.diag([0.5, 0.5]))
-        )
-        assert distance(channel_from_dict(data), expected) < 1e-12
-
     def test_rejects_pure_target(self, capsys):
         code, out, err = run(
             capsys,
@@ -98,22 +88,55 @@ class TestBuild:
         assert code == 2
         assert "target image must be mixed" in err
 
-    def test_rejects_lone_alpha(self, capsys):
-        code, _, err = run(
-            capsys,
-            "build", "counterexample", "--d", "2", "--d-fin", "2",
-            "--alpha", "0.6",
-        )
-        assert code == 2
-        assert "together" in err
-
     @pytest.mark.parametrize("command", [("certify",), ("build", "counterexample")])
     def test_rejects_one_dimensional_final_system(self, capsys, command):
         code, _, err = run(
-            capsys, *command, "--d", "2", "--d-fin", "1", "--alpha", "1", "--beta", "1"
+            capsys, *command, "--d", "2", "--d-fin", "1", "--rho-target", "1"
         )
         assert code == 2
         assert "dimensions must be at least 2" in err
+
+    @pytest.mark.parametrize("command", [("certify",), ("build", "counterexample")])
+    def test_rejects_alpha_beta(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--d", "3", "--d-fin", "2", "--alpha", "0.6", "--beta", "0.8"])
+        assert exc.value.code == 2
+
+    def test_rho_basis(self, capsys, tmp_path):
+        rng = np.random.default_rng(13)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        basis = q * (np.diag(r) / np.abs(np.diag(r)))  # Haar-random unitary
+        path = tmp_path / "basis.json"
+        save_json({"matrix": matrix_to_pairs(basis)}, path)
+        flags = ("--d-fin", "3", "--rho-target", "0.5,0.3,0.2", "--rho-basis", str(path))
+        code, data, _ = run_json(capsys, "build", "counterexample", "--d", "3", *flags)
+        assert code == 0
+        rho = basis @ np.diag([0.5, 0.3, 0.2]).astype(complex) @ basis.conj().T
+        expected = build_counterexample(CounterexampleParams(3, 3, rho))
+        for got, want in zip(
+            channel_from_dict(data).kraus.operators, expected.kraus.operators, strict=True
+        ):
+            np.testing.assert_array_equal(got, want)
+        code, data, _ = run_json(capsys, "certify", "--d", "2", *flags)
+        assert code == 0
+        assert data["results"]["claim"] == "NOT_REALIZABLE"
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], np.eye(2)],
+        ids=["non-unitary", "wrong-shape"],
+    )
+    @pytest.mark.parametrize("command", [("certify",), ("build", "counterexample")])
+    def test_rejects_bad_rho_basis(self, capsys, tmp_path, command, matrix):
+        path = tmp_path / "basis.json"
+        save_json({"matrix": matrix_to_pairs(matrix)}, path)
+        code, out, err = run(
+            capsys, *command, "--d", "3", "--d-fin", "3",
+            "--rho-target", "0.5,0.3,0.2", "--rho-basis", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: not unitary\n"
 
     def test_random_channel_is_valid(self, capsys, tmp_path):
         path = tmp_path / "random.json"
@@ -215,6 +238,16 @@ class TestCertify:
         assert data["results"]["claim"] == "INCONCLUSIVE"
         assert data["results"]["narrative"]
 
+    def test_mixed_first_image_file_is_inconclusive(self, capsys, tmp_path):
+        # A full-rank random channel sends |0><0| to a mixed state, so there
+        # is no common pure image to match.
+        path = tmp_path / "random.json"
+        save_json(channel_to_dict(random_channel(3, 2, np.random.default_rng(21))), path)
+        code, data, err = run_json(capsys, "certify", str(path))
+        assert code == 3
+        assert err == ""
+        assert data["results"]["claim"] == "INCONCLUSIVE"
+
     def test_near_member_file_is_inconclusive(self, capsys, tmp_path):
         # Scaling the last Kraus operator by 1 + 4e-9 keeps the file within
         # its 1e-8 load tolerance but puts tr(rho') 4e-9 above 1.
@@ -233,9 +266,9 @@ class TestCertify:
         "flags",
         [
             ("--d", "5", "--d-fin", "9", "--rho-target", "1,2"),
-            ("--alpha", "0.6", "--beta", "0.8"),
+            ("--rho-basis", "basis.json"),
         ],
-        ids=["rho-target", "alpha-beta"],
+        ids=["rho-target", "rho-basis"],
     )
     def test_rejects_file_with_family_flags(self, capsys, counterexample_file, flags):
         code, out, err = run(capsys, "certify", counterexample_file, *flags)
@@ -505,6 +538,16 @@ class TestErrorPaths:
         code, _, err = run(capsys, "convert", identity_file, "--to", "choi")
         assert code == 2
         assert message in err
+
+
+def test_readme_commands_parse():
+    # Every envchan line of the README's "Command line" code block.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("envchan ")]
+    assert len(commands) == 12
+    for line in commands:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 NO_SCIPY = """

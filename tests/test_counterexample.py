@@ -19,6 +19,7 @@ from envchan import (
     is_unitary,
     match_family,
     projector,
+    random_channel,
     random_density_matrix,
     random_pure_state,
 )
@@ -245,6 +246,14 @@ class TestMatchFamily:
 
     def test_rejects_identity(self):
         assert match_family(identity_channel(2)) is None
+
+    def test_rejects_mixed_first_image(self):
+        # The image of |0⟩⟨0| under a full-rank random channel is mixed:
+        # there is no candidate common pure image.
+        channel = random_channel(3, 2, np.random.default_rng(21))
+        lam = np.linalg.eigvalsh(apply(channel, projector(basis_state(3, 0))))
+        assert lam.max() < 0.99
+        assert match_family(channel) is None
 
     def test_rejects_total_collapse(self):
         # All inputs collapse to |0'⟩⟨0'|: no mixed image, not in the family.

@@ -1,5 +1,6 @@
 """Round-trip and error-path tests for the JSON file formats."""
 
+import copy
 import json
 from dataclasses import replace
 
@@ -309,3 +310,69 @@ def test_boolean_entries_rejected(tmp_path, loader, payload, key):
     assert "true" in json.dumps(load_json(path)[key])
     with pytest.raises(ValueError, match="malformed matrix"):
         loader(load_json(path))
+
+
+FUZZ_VALUES = (
+    None, True, False, 10**30, float("nan"), float("inf"), "x", "",
+    [], [[]], [[1.0, 0.0], [1.0]],
+)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a JSON tree, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize(
+    "loader, payload",
+    [
+        (
+            channel_from_dict,
+            lambda: channel_to_dict(
+                random_channel(2, 2, np.random.default_rng(0), kraus_rank=2)
+            ),
+        ),
+        (channel_from_dict, lambda: choi_to_dict(random_channel(2, 2, np.random.default_rng(0)))),
+        (state_from_dict, lambda: state_to_dict(random_density_matrix(2, np.random.default_rng(0)))),
+        (dilation_from_dict, lambda: dilation_to_dict(implementing_unitary(2, 2, 0.6, 0.8))),
+    ],
+    ids=["kraus", "choi", "state", "dilation"],
+)
+def test_fuzzed_payload_loads_or_raises_value_error(loader, payload):
+    # 500 payloads per file kind, each with one field or nested entry
+    # deleted or replaced. The depth is drawn first, so top-level fields are
+    # hit as often as matrix entries.
+    rng = np.random.default_rng(31)
+    original = payload()
+    loader(original)
+    by_depth = {}
+    for path in _paths(original):
+        by_depth.setdefault(len(path), []).append(path)
+    depths = sorted(by_depth)
+    for _ in range(500):
+        data = copy.deepcopy(original)
+        paths = by_depth[depths[rng.integers(len(depths))]]
+        path = paths[rng.integers(len(paths))]
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if rng.random() < 0.2:
+            edit = "deleted"
+            del node[path[-1]]
+        else:
+            edit = copy.deepcopy(FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))])
+            node[path[-1]] = edit
+        try:
+            loader(data)
+        except ValueError:
+            continue
+        except Exception as exc:  # name the payload that broke the rule
+            pytest.fail(f"{path} {edit!r}: {exc!r}")
