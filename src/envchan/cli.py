@@ -89,7 +89,7 @@ def _counterexample_params(args) -> CounterexampleParams:
     except ValueError as exc:
         raise ValueError("cannot parse --rho-target eigenvalue list") from exc
     rho = np.diag(eigenvalues).astype(complex)
-    if args.rho_basis:
+    if args.rho_basis is not None:
         basis = io.matrix_from_pairs(io.load_json(args.rho_basis).get("matrix"))
         if basis.shape != rho.shape or not is_unitary(basis):
             raise ValueError("not unitary")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import Channel, _frozen_copy, apply, distance
 from .dilation import Dilation
-from .linalg import _is_integer, complete_unitary, eig_hermitian
+from .linalg import _is_integer, as_complex_matrix, complete_unitary, eig_hermitian
 from .states import basis_state, is_pure, projector, purity, validate_density_matrix
 from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
 
@@ -62,9 +62,12 @@ class CounterexampleParams:
             raise ValueError("dimensions must be integers")
         if self.d < 2 or self.d_fin < 2:
             raise ValueError("dimensions must be at least 2")
-        rho = _frozen_copy(validate_density_matrix(self.rho_target))
+        # The shape comes first: it is checked without the spectrum, whose
+        # cost grows with the cube of the matrix size.
+        rho = as_complex_matrix(self.rho_target)
         if rho.shape != (self.d_fin, self.d_fin):
             raise ValueError("shape mismatch")
+        rho = _frozen_copy(validate_density_matrix(rho))
         object.__setattr__(self, "rho_target", rho)
         if is_pure(rho):
             raise ValueError("target image must be mixed")

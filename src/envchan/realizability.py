@@ -91,13 +91,14 @@ def minimize(fun, x0, args=(), *, residual, retract, options) -> LeastSquaresRes
     r, jac = fun(x, *args)
     cost, nfev, nit = r @ r, 1, 0
     mu, nu = 1e-3 * np.max(np.sum(jac * jac, axis=0)), 2.0
+    x_norm = np.linalg.norm(x)
     converged = cost == 0
     while not converged and nit < options["maxiter"]:
         grad = jac.T @ r
         gram = jac.T @ jac
-        gram[np.diag_indices_from(gram)] += mu
+        gram.flat[:: len(gram) + 1] += mu
         step = -np.linalg.solve(gram, grad)
-        if np.linalg.norm(step) <= _STEP_STOP * np.linalg.norm(x):
+        if np.sqrt(step @ step) <= _STEP_STOP * x_norm:
             converged = True
             break
         nit += 1
@@ -111,6 +112,7 @@ def minimize(fun, x0, args=(), *, residual, retract, options) -> LeastSquaresRes
         if rho > 0:
             converged = cost - trial_cost <= _DECREASE_STOP * cost
             x, cost = trial, trial_cost
+            x_norm = np.linalg.norm(x)
             r, jac = fun(x, *args)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
@@ -203,11 +205,9 @@ def _u_layout(d: int, dp: int) -> np.ndarray:
 
 
 def _to_u_layout(rows: np.ndarray, d: int, dp: int) -> np.ndarray:
-    """Kraus rows (..., n, n) rearranged into U's layout, one column per
-    input |i, s⟩."""
-    n = d * dp
-    flat = rows.reshape(*rows.shape[:-2], n * n)
-    return np.take(flat, _u_layout(d, dp), axis=-1).reshape(rows.shape)
+    """Kraus rows (n, n) rearranged into U's layout, one column per input
+    |i, s⟩."""
+    return rows.ravel()[_u_layout(d, dp)].reshape(rows.shape)
 
 
 def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
@@ -234,20 +234,18 @@ def _residual_terms(n: int):
     return a, b, u, w
 
 
-def _residual_vector(h: np.ndarray, d: int, dp: int) -> np.ndarray:
+def _residual_vector(h: np.ndarray, d: int, dp: int, a, b, u, w) -> np.ndarray:
     """The n² independent real entries of R = H − I_d ⊗ diag(p), for H the
-    Hermitian part (h + h†)/2 of h (..., n, n) and p = ``_spectrum(H)``:
-    R's diagonal, then √2 times the real and the imaginary parts of its upper
-    triangle, so that ‖r‖² = ‖R‖². Linear in h, so it maps a derivative of
-    G to the matching derivative of r."""
-    n = d * dp
-    a, b, u, w = _residual_terms(n)
-    flat = np.ascontiguousarray(h).reshape(*h.shape[:-2], n * n).view(float)
-    r = np.take(flat, a, axis=-1)
-    r *= u
-    r += np.take(flat, b, axis=-1) * w
-    diag = r[..., :n].reshape(*h.shape[:-2], d, dp)
-    diag -= diag.mean(axis=-2, keepdims=True)
+    Hermitian part (h + h†)/2 of h (n, n) and p = ``_spectrum(H)``: R's
+    diagonal, then √2 times the real and the imaginary parts of its upper
+    triangle, so that ‖r‖² = ‖R‖². (a, b, u, w) are ``_residual_terms(n)``;
+    with ``_jacobian_tables``' terms, h holds many such matrices side by
+    side and r has one column for each."""
+    flat = h.ravel().view(float)
+    r = flat[a] * u
+    r += flat[b] * w
+    diag = r[: d * dp].reshape(d, dp, -1)
+    diag -= np.add.reduce(diag, axis=0) / d
     return r
 
 
@@ -286,6 +284,34 @@ def _tangent_basis(n: int, kappa: int) -> np.ndarray:
     return basis
 
 
+@lru_cache(maxsize=None)
+def _jacobian_tables(d: int, dp: int, kappa: int):
+    """Tables that build all 2nκ − κ² Jacobian columns at once, for an n×κ
+    isometry at (d, d_fin). ``rows`` (n × Qκ) sets the C_q of
+    ``_tangent_basis`` side by side, so that (V·rows).reshape(nQ, κ)·E lays
+    the dF_q = V·C_q·E side by side as dF = [dF_0 … dF_{Q−1}] (n × Qn).
+    ``layout`` gathers dF into U's layout block by block, and ``a``/``b``
+    and ``u``/``w`` are ``_residual_terms``' indices and weights for the
+    real view of every block of such an n × Qn matrix, one column per q.
+    Built once per (d, d_fin, κ) and shared read-only."""
+    n = d * dp
+    basis = _tangent_basis(n, kappa)
+    count = len(basis)
+    rows = basis.transpose(1, 0, 2).reshape(n, count * kappa)
+
+    def spread(index):
+        """Flat indices x·n + y into one n×n block, as (index, q) into
+        block q of an n × Qn matrix, where (x, y) sits at x·Qn + q·n + y."""
+        return (index // n * count * n + index % n)[:, None] + n * np.arange(count)
+
+    layout = spread(_u_layout(d, dp)).reshape(n, n, count).transpose(0, 2, 1).ravel()
+    a, b, u, w = _residual_terms(n)
+    a, b = (2 * spread(terms // 2) + terms[:, None] % 2 for terms in (a, b))
+    for array in (rows, layout, a, b):
+        array.flags.writeable = False
+    return rows, layout, a, b, u[:, None], w[:, None]
+
+
 def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     """polar(W + dW), with dW = V·Σ_q step_q·C_q (``_tangent_basis``)."""
     basis = _tangent_basis(*w.shape)
@@ -300,21 +326,24 @@ def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int) -> np.ndarray:
     columns, scaled by 1/√p_s, are orthonormal: then they are columns of a
     unitary that realizes the target with spectrum p."""
     fm = _to_u_layout(w @ kraus, d, dp)
-    return _residual_vector(fm.conj().T @ fm, d, dp)
+    return _residual_vector(fm.conj().T @ fm, d, dp, *_residual_terms(d * dp))
 
 
 def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     """``_residual`` at w and its exact Jacobian, the derivative of r along
     each dW_q = V·C_q of ``_tangent_basis``, which is also its derivative
     through ``_retract``."""
+    n, kappa = w.shape
     fm = _to_u_layout(w @ kraus, d, dp)
-    residual = _residual_vector(fm.conj().T @ fm, d, dp)
-    # F = W·E is linear in W, so dF = dW_q·E, and dG = Fm†dFm + h.c. is
-    # twice the Hermitian part of Fm†dFm, written over dFm, the largest
-    # array here, to keep the peak memory down.
-    dfm = _to_u_layout(_frame(w) @ _tangent_basis(*w.shape) @ kraus, d, dp)
-    jac = _residual_vector(np.matmul(2.0 * fm.conj().T, dfm, out=dfm), d, dp)
-    return residual, jac.T
+    residual = _residual_vector(fm.conj().T @ fm, d, dp, *_residual_terms(n))
+    # F = W·E is linear in W, so dF_q = V·C_q·E, and dG_q = Fm†dFm_q + h.c.
+    # is twice the Hermitian part of Fm†dFm_q: two products build every
+    # dF_q, one gather puts them in U's layout, and one more product gives
+    # every Fm†dFm_q, whose residual entries are J's columns.
+    rows, layout, *terms = _jacobian_tables(d, dp, kappa)
+    dfm = ((_frame(w) @ rows).reshape(-1, kappa) @ kraus).ravel()[layout]
+    h = 2.0 * fm.conj().T @ dfm.reshape(n, -1)
+    return residual, _residual_vector(h, d, dp, *terms)
 
 
 def _decode_point(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import envchan.counterexample as counterexample
 from envchan import (
     Channel,
     CounterexampleParams,
@@ -138,6 +139,17 @@ class TestBuild:
         assert out == ""
         assert err == "error: not unitary\n"
 
+    @pytest.mark.parametrize("command", [("certify",), ("build", "counterexample")])
+    def test_rejects_empty_rho_basis(self, capsys, command):
+        # An empty path names no file; it does not mean the flag was left out.
+        code, out, err = run(
+            capsys, *command, "--d", "2", "--d-fin", "2",
+            "--rho-target", "0.5,0.5", "--rho-basis", "",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_random_channel_is_valid(self, capsys, tmp_path):
         path = tmp_path / "random.json"
         code, out, _ = run(
@@ -210,6 +222,21 @@ class TestParams:
 
 
 class TestCertify:
+    def test_long_rho_target_is_a_shape_mismatch(self, capsys, monkeypatch):
+        # The shape is compared before ρ' is validated, so a long list is
+        # turned away without eigendecomposing a 1000 × 1000 matrix.
+        def no_spectrum(rho):
+            raise AssertionError("validated before the shape check")
+
+        monkeypatch.setattr(counterexample, "validate_density_matrix", no_spectrum)
+        code, out, err = run(
+            capsys, "certify", "--d", "3", "--d-fin", "2",
+            "--rho-target", ",".join(["0.001"] * 1000),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: shape mismatch\n"
+
     def test_from_flags(self, capsys):
         code, data, _ = run_json(
             capsys,

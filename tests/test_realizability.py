@@ -27,6 +27,7 @@ from envchan.dilation import _kraus_rows
 from envchan.realizability import (
     _decode_point,
     _frame,
+    _jacobian_tables,
     _minimal_kraus_rows,
     _objective_and_grad,
     _polar,
@@ -150,19 +151,27 @@ class TestSearchConfig:
         assert SearchConfig(seed=seed).seed == seed
 
 
-def gram_residual(w, kraus, d, dp):
-    """R = G − I_d ⊗ diag(p) at the isometry w, computed here without the
-    evaluator: Fm through the dilation's Kraus layout, G = Fm†Fm and p_s the
-    mean of G's diagonal entries (i, s) over i."""
+def u_columns(rows, d, dp):
+    """Kraus rows vec(F_k) scattered through the dilation's Kraus layout
+    into the columns of U, as the evaluator's Fm."""
     n = d * dp
     fm = np.empty(n * n, dtype=complex)
-    fm[_kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel()] = (
-        w @ kraus
-    ).ravel()
-    fm = fm.reshape(n, n)
-    g = fm.conj().T @ fm
+    fm[_kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel()] = rows.ravel()
+    return fm.reshape(n, n)
+
+
+def centred(g, d, dp):
+    """g − I_d ⊗ diag(p), with p_s the mean of g's diagonal entries (i, s)
+    over i."""
     p = g.diagonal().real.reshape(d, dp).mean(axis=0)
     return g - np.diag(np.tile(p, d))
+
+
+def gram_residual(w, kraus, d, dp):
+    """R = G − I_d ⊗ diag(p) at the isometry w, computed here without the
+    evaluator: Fm through the dilation's Kraus layout and G = Fm†Fm."""
+    fm = u_columns(w @ kraus, d, dp)
+    return centred(fm.conj().T @ fm, d, dp)
 
 
 def residual_entries(matrix):
@@ -216,8 +225,10 @@ class TestGradient:
             identity_channel(2),
             identity_channel(3),
             random_channel(2, 2, np.random.default_rng(15), kraus_rank=2),
+            random_channel(3, 2, np.random.default_rng(15), kraus_rank=3),
+            random_channel(2, 3, np.random.default_rng(15), kraus_rank=2),
         ],
-        ids=["identity-2", "identity-3", "rank-2"],
+        ids=["identity-2", "identity-3", "rank-2", "3x2-rank-3", "2x3-rank-2"],
     )
     def test_matches_finite_differences_below_full_rank(self, target):
         # With κ < n, W is a tall isometry and steps also turn it into its
@@ -228,6 +239,26 @@ class TestGradient:
         rng = np.random.default_rng([16, d, len(kraus)])
         w = random_isometry(d * dp, len(kraus), rng)
         assert check_residual_and_jacobian(w, kraus, d, dp) > 0.0
+
+    @pytest.mark.parametrize(
+        "d, dp, kappa", [(2, 2, 4), (2, 2, 2), (3, 2, 3), (2, 3, 2), (3, 3, 9), (4, 4, 16)]
+    )
+    def test_matches_column_by_column_formula(self, d, dp, kappa):
+        # Column q of J is the residual entries of dR_q = dG_q − I_d ⊗
+        # diag(δp_q), with dG_q = Fm†dFm_q + h.c. and dF_q = V·C_q·E, built
+        # here one direction at a time. The evaluator builds all of them in
+        # a different order of summation, so they agree to round-off.
+        rng = np.random.default_rng([20, d, dp, kappa])
+        n = d * dp
+        kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
+        w = random_isometry(n, kappa, rng)
+        fm = u_columns(w @ kraus, d, dp)
+        columns = []
+        for step in _frame(w) @ _tangent_basis(n, kappa):
+            dg = fm.conj().T @ u_columns(step @ kraus, d, dp)
+            columns.append(residual_entries(centred(dg + dg.conj().T, d, dp)))
+        _, jac = _objective_and_grad(w, kraus, d, dp)
+        np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, kappa", [(4, 4), (4, 2), (9, 3), (6, 1)])
     def test_steps_are_orthonormal_tangents(self, n, kappa):
@@ -245,6 +276,16 @@ class TestGradient:
         np.testing.assert_allclose(inner, -inner.conj().transpose(0, 2, 1), atol=1e-12)
         moved = _retract(w, rng.normal(size=len(steps)))
         np.testing.assert_allclose(moved.conj().T @ moved, np.eye(kappa), atol=1e-12)
+
+    @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (2, 3, 2)])
+    def test_jacobian_tables_are_cached_and_read_only(self, d, dp, kappa):
+        tables = _jacobian_tables(d, dp, kappa)
+        assert _jacobian_tables(d, dp, kappa) is tables
+        assert _jacobian_tables(d, dp, kappa - 1) is not tables
+        for array in tables:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
 
 
 class TestDecode:
