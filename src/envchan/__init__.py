@@ -34,7 +34,6 @@ from .counterexample import (
 )
 from .dilation import (
     Dilation,
-    SpectralComponent,
     channel_from_dilation,
     decompose_mixed_env,
     stinespring_from_kraus,
@@ -88,7 +87,6 @@ __all__ = [
     "REALIZED",
     "SearchConfig",
     "SearchResult",
-    "SpectralComponent",
     "UNDECIDED",
     "apply",
     "basis_state",

@@ -15,7 +15,8 @@ Without it ρ' is diagonal.
 
 Exit codes:
     0  success (including certificate NOT_REALIZABLE and search REALIZED)
-    2  invalid input: bad flags, malformed files, failed validation
+    2  invalid input: bad flags, malformed files, failed validation, or
+       an input too large to allocate
     3  certificate INCONCLUSIVE (the channel is not in the family)
     4  search verdict LIKELY_NOT_REALIZABLE
     5  search verdict UNDECIDED
@@ -310,12 +311,12 @@ def main(argv=None) -> int:
                 "results": payload,
             }
         out = getattr(args, "out", None)
-        if out:
+        if out is not None:
             io.save_json(payload, out)
         else:
             json.dump(payload, sys.stdout, indent=2)
             sys.stdout.write("\n")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -135,13 +135,21 @@ def eig_hermitian(m):
     return w, v
 
 
+def _frame(w: np.ndarray) -> np.ndarray:
+    """V = [W, W⊥]: the orthonormal columns of W followed by the last n − k
+    columns of W's complete QR factor; W itself when square. Unchecked, so
+    the searcher can call it at every step; ``complete_unitary`` checks."""
+    n, k = w.shape
+    return w if k == n else np.hstack([w, np.linalg.qr(w, mode="complete")[0][:, k:]])
+
+
 def complete_unitary(columns) -> np.ndarray:
     """Extend orthonormal columns to a full unitary matrix.
 
-    The missing columns are chosen deterministically: at each step the
-    standard-basis vector with the largest residual after projecting out the
-    columns found so far is orthogonalized (twice, for numerical stability)
-    and appended.
+    The missing columns are the last n − k columns of the complete QR
+    factor of ``columns`` (``_frame``): an orthonormal basis of their
+    complement, fixed by LAPACK's Householder reflections, so the same
+    input always gives the same completion.
 
     Args:
         columns: an ``n x k`` matrix (or a single length-``n`` vector) whose
@@ -150,7 +158,7 @@ def complete_unitary(columns) -> np.ndarray:
     Returns:
         An ``n x n`` unitary whose first ``k`` columns equal ``columns``.
     """
-    q = np.asarray(columns, dtype=complex)
+    q = np.array(columns, dtype=complex)  # a copy: returned as is when k = n
     if q.ndim == 1:
         q = q[:, None]
     q = as_complex_matrix(q)
@@ -160,17 +168,7 @@ def complete_unitary(columns) -> np.ndarray:
     gram = q.conj().T @ q
     if np.max(np.abs(gram - np.eye(k)), initial=0.0) > UNITARY:
         raise ValueError("columns not orthonormal")
-
-    cols = [q[:, j] for j in range(k)]
-    basis = np.eye(n, dtype=complex)
-    while len(cols) < n:
-        qmat = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
-        residuals = basis - qmat @ (qmat.conj().T @ basis)
-        pick = int(np.argmax(np.linalg.norm(residuals, axis=0)))
-        vec = residuals[:, pick]
-        vec = vec - qmat @ (qmat.conj().T @ vec)
-        cols.append(vec / np.linalg.norm(vec))
-    u = np.column_stack(cols)
+    u = _frame(q)
     if not is_unitary(u):
         raise ValueError("not unitary")
     return u

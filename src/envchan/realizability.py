@@ -39,7 +39,7 @@ import numpy as np
 
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
 from .dilation import Dilation, _kraus_rows, channel_from_dilation
-from .linalg import _is_integer
+from .linalg import _frame, _is_integer
 from .tolerances import ENV_SPECTRUM_CUTOFF
 
 REALIZED = "REALIZED"
@@ -253,15 +253,6 @@ def _polar(m: np.ndarray) -> np.ndarray:
     """The polar factor of m, the isometry nearest to it."""
     left, _, right = np.linalg.svd(m, full_matrices=False)
     return left @ right
-
-
-def _frame(w: np.ndarray) -> np.ndarray:
-    """V = [W, W⊥], W followed by an orthonormal basis of its complement;
-    V = W at full Kraus rank (κ = n)."""
-    n, kappa = w.shape
-    if kappa == n:
-        return w
-    return np.hstack([w, np.linalg.qr(w, mode="complete")[0][:, kappa:]])
 
 
 @lru_cache(maxsize=None)

@@ -516,6 +516,21 @@ class TestOutput:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "random", "--d", "2", "--d-fin", "2", "--seed", "1"],
+            ["certify", "--d", "3", "--d-fin", "2", "--rho-target", "0.5,0.5"],
+        ],
+        ids=["build", "report"],
+    )
+    def test_empty_out_exits_two(self, capsys, argv):
+        # An empty path names no file; it does not mean stdout.
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestErrorPaths:
     def test_unsupported_version(self, capsys, tmp_path):
@@ -531,6 +546,14 @@ class TestErrorPaths:
         code, _, err = run(capsys, "search", "/nonexistent/channel.json")
         assert code == 2
         assert "error:" in err
+
+    def test_allocation_failure_exits_two(self, capsys):
+        # The first request is ~589 TiB, more than a 47/48-bit user address
+        # space can map, so numpy fails before touching any memory.
+        code, out, err = run(capsys, "build", "random", "--d", "3000", "--d-fin", "3000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -125,6 +125,13 @@ class TestStinespring:
                 assert dil.d_env <= d_in * d_out
                 assert distance(channel_from_dilation(dil), ch) < 1e-9
 
+    def test_round_trip_full_rank_four_by_four(self):
+        # A 256×256 unitary: 4 populated columns and 252 filler columns.
+        ch = random_channel(4, 4, np.random.default_rng(5), kraus_rank=16)
+        dil = stinespring_from_kraus(ch.kraus)
+        assert dil.unitary.shape == (256, 256)
+        assert distance(channel_from_dilation(dil), ch) < 1e-12
+
     def test_completion_independence(self):
         # Rotating the unused filler columns must not change the channel:
         # the pure initial state never populates that sector.

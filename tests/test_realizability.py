@@ -24,6 +24,7 @@ from envchan import (
 )
 import envchan.realizability as realizability
 from envchan.dilation import _kraus_rows
+from envchan.linalg import complete_unitary
 from envchan.realizability import (
     _decode_point,
     _frame,
@@ -276,6 +277,13 @@ class TestGradient:
         np.testing.assert_allclose(inner, -inner.conj().transpose(0, 2, 1), atol=1e-12)
         moved = _retract(w, rng.normal(size=len(steps)))
         np.testing.assert_allclose(moved.conj().T @ moved, np.eye(kappa), atol=1e-12)
+
+    @pytest.mark.parametrize("n, kappa", [(9, 3), (6, 1)])
+    def test_frame_is_the_shared_completion(self, n, kappa):
+        # Below full rank the searcher's frame [W, W⊥] is the completion
+        # that the Stinespring dilation and the family match also use.
+        w = random_isometry(n, kappa, np.random.default_rng([21, n, kappa]))
+        np.testing.assert_array_equal(_frame(w), complete_unitary(w))
 
     @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (2, 3, 2)])
     def test_jacobian_tables_are_cached_and_read_only(self, d, dp, kappa):
