@@ -60,4 +60,4 @@ for step in certificate.narrative:
 qubit_params = CounterexampleParams(2, 2, np.diag([0.5, 0.5]))
 qubit_cert = certify_nonrealizable(qubit_params)
 print("\nd = 2 claim:", qubit_cert.claim,
-      "(structural branch used:", str(qubit_cert.d2_branch_used) + ")")
+      "(excluded ranks:", str(qubit_cert.excluded_ranks) + ")")

@@ -25,7 +25,6 @@ from .counterexample import (
     INCONCLUSIVE,
     NOT_REALIZABLE,
     CounterexampleParams,
-    FamilyMatch,
     NonRealizabilityCertificate,
     build_counterexample,
     certify_nonrealizable,
@@ -76,7 +75,6 @@ __all__ = [
     "ChoiMatrix",
     "CounterexampleParams",
     "Dilation",
-    "FamilyMatch",
     "INCONCLUSIVE",
     "KrausSet",
     "LIKELY_NOT_REALIZABLE",

@@ -80,8 +80,9 @@ def _counterexample_params(args) -> CounterexampleParams:
     """Build family parameters from the family flags.
 
     ρ' is diag(--rho-target), rotated by the unitary in --rho-basis (whose
-    columns are the eigenvectors) when that flag is given.
-    :class:`CounterexampleParams` checks the dimensions, the shape and ρ'.
+    columns are the eigenvectors) when that flag is given. The eigenvalue
+    count is checked against --d-fin before ρ' is allocated;
+    :class:`CounterexampleParams` checks the dimensions and ρ'.
     """
     if args.d is None or args.d_fin is None or args.rho_target is None:
         raise ValueError("--d, --d-fin and --rho-target are required")
@@ -89,6 +90,8 @@ def _counterexample_params(args) -> CounterexampleParams:
         eigenvalues = [float(x) for x in args.rho_target.split(",")]
     except ValueError as exc:
         raise ValueError("cannot parse --rho-target eigenvalue list") from exc
+    if len(eigenvalues) != args.d_fin:
+        raise ValueError("shape mismatch")
     rho = np.diag(eigenvalues).astype(complex)
     if args.rho_basis is not None:
         basis = io.matrix_from_pairs(io.load_json(args.rho_basis).get("matrix"))
@@ -136,11 +139,11 @@ def cmd_certify(args) -> tuple[dict, int]:
                 ],
             }
             return results, 3
+        params, choi_distance = match
         membership = {
-            "choi_distance": match.choi_distance,
-            "canonical_rho_target": _jsonable(match.params.rho_target),
+            "choi_distance": choi_distance,
+            "canonical_rho_target": _jsonable(params.rho_target),
         }
-        params = match.params
     else:
         params = _counterexample_params(args)
     results = _jsonable(certify_nonrealizable(params))

@@ -153,19 +153,15 @@ class NonRealizabilityCertificate:
     """Outcome of the analytic argument, with an auditable narrative.
 
     ``claim`` is always NOT_REALIZABLE; only the CLI reports INCONCLUSIVE,
-    for a channel outside the family. The numeric fields document
-    the binding instance of the counting argument: realizing the collapse
-    with a rank-``rank_tested`` initialization would force
-    ``vectors_required`` orthonormal vectors into the
-    ``dimension_available``-dimensional initial space.
+    for a channel outside the family. ``excluded_ranks`` holds one
+    ``(rank, rule)`` pair for each initialization rank r = 1..d_fin, in rank
+    order, naming the deduction that excludes it: ``"decoherence"`` for
+    r = 1, ``"overlap"`` for r = 2 at d = 2, and ``"counting"`` (r(d−1) > d
+    orthonormal vectors in the d-dimensional initial space) otherwise.
     """
 
     claim: str
-    rank_tested: int
-    vectors_required: int
-    dimension_available: int
-    decoherence_contradiction: bool
-    d2_branch_used: bool
+    excluded_ranks: tuple
     narrative: tuple
 
 
@@ -177,7 +173,8 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
     r ≥ 2 dies by counting orthonormal vectors (r(d−1) > d) except the
     r = 2, d = 2 case, which dies by the overlap condition; r = 1 (pure)
     dies because total decoherence would force the mixed image to be pure.
-    Each deduction is recorded as one narrative line.
+    Each deduction is recorded as one narrative line, and each excluded
+    rank as one ``(rank, rule)`` pair of ``excluded_ranks``.
 
     ``p``'s constructor is the one check of the family's preconditions, and
     its fields are read-only, so the claim is always NOT_REALIZABLE; only
@@ -192,6 +189,7 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
         "a candidate realization is a unitary on the initial (x) final space "
         "with the final system initialized in a fixed state of some rank r",
     ]
+    excluded = [(1, "decoherence")]
     for r in range(2, d_fin + 1):
         if d == 2 and r == 2:
             overlap = p.overlap
@@ -211,6 +209,7 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
                     "— contradiction, so no rank-2 initialization exists",
                 ]
             )
+            excluded.append((r, "overlap"))
             continue
         required = r * (d - 1)
         steps.append(
@@ -219,6 +218,7 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
             f"{r}*({d}-1) = {required} orthonormal vectors in the "
             f"{d}-dimensional initial space: {required} > {d} — impossible"
         )
+        excluded.append((r, "counting"))
     steps.append(
         f"rank 1: with a pure initialization, total decoherence forces the "
         f"joint image of |{d - 1}>|0'> to have no component on the other "
@@ -230,30 +230,12 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
     )
     return NonRealizabilityCertificate(
         claim=NOT_REALIZABLE,
-        rank_tested=2,
-        vectors_required=2 * (d - 1),
-        dimension_available=d,
-        decoherence_contradiction=True,
-        d2_branch_used=(d == 2),
+        excluded_ranks=tuple(excluded),
         narrative=tuple(steps),
     )
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyMatch:
-    """Result of detecting family membership of an arbitrary channel.
-
-    ``params`` describe the channel after rotating the common pure image to
-    |0'⟩ (the family is closed under output rotations, and the certificate
-    is basis-independent); ``choi_distance`` is the Frobenius distance to
-    the rebuilt family channel.
-    """
-
-    params: CounterexampleParams
-    choi_distance: float
-
-
-def match_family(channel: Channel) -> FamilyMatch | None:
+def match_family(channel: Channel) -> tuple[CounterexampleParams, float] | None:
     """Detect whether a channel belongs to the family, in any output basis.
 
     The image of |0⟩⟨0| must have an eigenvalue within ``FAMILY_MATCH`` of 1;
@@ -270,8 +252,12 @@ def match_family(channel: Channel) -> FamilyMatch | None:
     Kraus check: a near-member is rejected by the checks above, never by an
     error.
 
-    Returns None if the channel is not in the family or fails a family
-    precondition (e.g. d = 2 with zero overlap).
+    Returns ``(params, choi_distance)``: ``params`` describe the channel
+    after rotating φ to |0'⟩ (the family is closed under output rotations,
+    and the certificate is basis-independent), and ``choi_distance`` is the
+    Frobenius distance to the rebuilt member. Returns None if the channel is
+    not in the family or fails a family precondition (e.g. d = 2 with zero
+    overlap).
     """
     d, d_fin = channel.d_in, channel.d_out
     lam, vecs = eig_hermitian(apply(channel, projector(basis_state(d, 0))))
@@ -288,4 +274,4 @@ def match_family(channel: Channel) -> FamilyMatch | None:
     dist = distance(channel, candidate)
     if dist > FAMILY_MATCH:
         return None
-    return FamilyMatch(params=params, choi_distance=float(dist))
+    return params, float(dist)

@@ -63,27 +63,28 @@ def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
         The reduced matrix over the kept subsystems. The trace is preserved.
 
     Raises:
-        ValueError: "shape mismatch" if the matrix side does not equal the
-            product of ``dims``; "bad subsystem index" if ``keep`` is empty
-            or names a subsystem outside ``range(len(dims))``.
+        ValueError: "shape mismatch" if a dimension is not a positive
+            integer or the matrix side does not equal the product of
+            ``dims``; "bad subsystem index" if ``keep`` is empty, holds a
+            non-integer or names a subsystem outside ``range(len(dims))``.
     """
     m = as_complex_matrix(m)
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
+    dims = tuple(dims)
+    if not dims or not all(_is_integer(d) and d >= 1 for d in dims):
         raise ValueError("shape mismatch")
     side = math.prod(dims)
     if m.shape != (side, side):
         raise ValueError("shape mismatch")
-    keep_idx = sorted(set(int(k) for k in keep))
-    if not keep_idx or keep_idx[0] < 0 or keep_idx[-1] >= len(dims):
+    keep = set(keep)
+    if not keep or not all(_is_integer(k) and 0 <= k < len(dims) for k in keep):
         raise ValueError("bad subsystem index")
 
     t = m.reshape(dims + dims)
     # Trace highest-index subsystems first so lower axis numbers stay valid.
-    for ax in sorted(set(range(len(dims))) - set(keep_idx), reverse=True):
+    for ax in sorted(set(range(len(dims))) - keep, reverse=True):
         half = t.ndim // 2
         t = np.trace(t, axis1=ax, axis2=ax + half)
-    kept_side = math.prod(dims[k] for k in keep_idx)
+    kept_side = math.prod(dims[k] for k in keep)
     return t.reshape(kept_side, kept_side)
 
 

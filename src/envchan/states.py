@@ -18,7 +18,7 @@ def basis_state(dim: int, index: int) -> np.ndarray:
     """Standard basis vector |index⟩ in a ``dim``-dimensional space."""
     if not _is_integer(dim) or dim < 1:
         raise ValueError("dimension must be positive")
-    if not 0 <= index < dim:
+    if not (_is_integer(index) and 0 <= index < dim):
         raise ValueError("bad subsystem index")
     vec = np.zeros(dim, dtype=complex)
     vec[index] = 1.0

@@ -222,8 +222,9 @@ def test_criterion_07_analytic_certificate():
             params = CounterexampleParams(d, d_fin, admissible_target(d, d_fin, rng))
             cert = certify_nonrealizable(params)
             ok = ok and cert.claim == NOT_REALIZABLE
+            ok = ok and [r for r, _ in cert.excluded_ranks] == list(range(1, d_fin + 1))
             if d == 2:
-                ok = ok and cert.d2_branch_used
+                ok = ok and (2, "overlap") in cert.excluded_ranks
                 for r in range(3, d_fin + 1):
                     ok = ok and any(
                         f"{r * (d - 1)} > {d}" in step for step in cert.narrative

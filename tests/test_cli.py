@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,22 @@ class TestCertify:
         assert out == ""
         assert err == "error: shape mismatch\n"
 
+    def test_rho_target_length_is_checked_before_allocation(self, capsys):
+        # The eigenvalue count is compared with --d-fin before np.diag builds
+        # a 1500 × 1500 complex ρ' (36 MB).
+        argv = ("certify", "--d", "3", "--d-fin", "2",
+                "--rho-target", ",".join(["0.001"] * 1500))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == "error: shape mismatch\n"
+        assert peak < 1_000_000
+
     def test_from_flags(self, capsys):
         code, data, _ = run_json(
             capsys,
@@ -254,7 +271,7 @@ class TestCertify:
         assert code == 0
         results = data["results"]
         assert results["claim"] == "NOT_REALIZABLE"
-        assert results["d2_branch_used"]
+        assert results["excluded_ranks"] == [[1, "decoherence"], [2, "overlap"]]
         assert results["membership"]["choi_distance"] < 1e-8
         canonical = matrix_from_pairs(results["membership"]["canonical_rho_target"])
         np.testing.assert_allclose(canonical, np.eye(2) / 2, atol=1e-9)
@@ -443,8 +460,7 @@ class TestReportKeys:
     def test_certify_with_membership(self, capsys, counterexample_file):
         _, data, _ = run_json(capsys, "certify", counterexample_file)
         assert list(data["results"]) == [
-            "claim", "rank_tested", "vectors_required", "dimension_available",
-            "decoherence_contradiction", "d2_branch_used", "narrative", "membership",
+            "claim", "excluded_ranks", "narrative", "membership",
         ]
         assert list(data["results"]["membership"]) == [
             "choi_distance", "canonical_rho_target",

@@ -176,17 +176,14 @@ class TestCertificate:
     def test_d3_counting(self):
         cert = certify_nonrealizable(CounterexampleParams(3, 2, np.diag([0.5, 0.5])))
         assert cert.claim == NOT_REALIZABLE
-        assert cert.rank_tested == 2
-        assert cert.vectors_required == 4
-        assert cert.dimension_available == 3
-        assert cert.decoherence_contradiction
-        assert not cert.d2_branch_used
+        # rank 2 dies by counting 2·(3−1) = 4 vectors in 3 dimensions.
+        assert cert.excluded_ranks == ((1, "decoherence"), (2, "counting"))
         assert any("4 > 3" in step for step in cert.narrative)
 
     def test_d2_branch(self):
         cert = certify_nonrealizable(CounterexampleParams(2, 2, np.diag([0.5, 0.5])))
         assert cert.claim == NOT_REALIZABLE
-        assert cert.d2_branch_used
+        assert cert.excluded_ranks == ((1, "decoherence"), (2, "overlap"))
         assert any("<0'|image|0'> = 0" in step for step in cert.narrative)
         assert any("rank 1" in step for step in cert.narrative)
 
@@ -195,24 +192,28 @@ class TestCertificate:
             CounterexampleParams(2, 3, np.diag([0.4, 0.3, 0.3]))
         )
         assert cert.claim == NOT_REALIZABLE
-        assert cert.d2_branch_used
         # rank 3 still dies by counting: 3·(2−1) = 3 > 2.
+        assert cert.excluded_ranks == (
+            (1, "decoherence"), (2, "overlap"), (3, "counting"),
+        )
         assert any("3 > 2" in step for step in cert.narrative)
 
     def test_claim_invariant(self):
         rng = np.random.default_rng(4)
         for d in (2, 3, 4, 5):
-            for d_fin in (2, 3):
+            for d_fin in (2, 3, 4):
                 params = CounterexampleParams(d, d_fin, admissible_target(d_fin, rng, d))
                 cert = certify_nonrealizable(params)
                 assert cert.claim == NOT_REALIZABLE
-                counting_closes = cert.vectors_required > cert.dimension_available
-                d2_closes = (
-                    params.d == 2
-                    and cert.decoherence_contradiction
-                    and cert.d2_branch_used
-                )
-                assert counting_closes or d2_closes
+                # Every rank 1..d_fin is excluded exactly once, in order.
+                assert [r for r, _ in cert.excluded_ranks] == list(range(1, d_fin + 1))
+                for r, rule in cert.excluded_ranks:
+                    if r == 1:
+                        assert rule == "decoherence"
+                    elif d == 2 and r == 2:
+                        assert rule == "overlap"
+                    else:
+                        assert rule == "counting" and r * (d - 1) > d
 
 
 class TestMatchFamily:
@@ -220,8 +221,9 @@ class TestMatchFamily:
         params = CounterexampleParams(3, 2, np.diag([0.7, 0.3]))
         match = match_family(build_counterexample(params))
         assert match is not None
-        assert match.choi_distance < 1e-10
-        np.testing.assert_allclose(match.params.rho_target, params.rho_target, atol=1e-10)
+        found, choi_distance = match
+        assert choi_distance < 1e-10
+        np.testing.assert_allclose(found.rho_target, params.rho_target, atol=1e-10)
 
     def test_detects_rotated_member(self):
         # Conjugate the output by a unitary; detection must still work and
@@ -234,14 +236,15 @@ class TestMatchFamily:
         rotated = Channel.from_kraus([v @ op for op in ch.kraus.operators])
         match = match_family(rotated)
         assert match is not None
-        assert match.choi_distance < 1e-8
+        found, choi_distance = match
+        assert choi_distance < 1e-8
         # The canonical target must be spectrally identical to the original.
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(match.params.rho_target),
+            np.linalg.eigvalsh(found.rho_target),
             np.linalg.eigvalsh(params.rho_target),
             atol=1e-9,
         )
-        cert = certify_nonrealizable(match.params)
+        cert = certify_nonrealizable(found)
         assert cert.claim == NOT_REALIZABLE
 
     def test_rejects_identity(self):

@@ -96,6 +96,24 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="bad subsystem index"):
             partial_trace(np.eye(4), [2, 2], keep=set())
 
+    @pytest.mark.parametrize("dims", [[2.9, 2.2], [2.0, 2], [True, 4]])
+    def test_rejects_non_integer_dimensions(self, dims):
+        # Truncating [2.9, 2.2] to (2, 2) would trace a 4x4 matrix silently.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            partial_trace(np.eye(4), dims, keep={0})
+
+    @pytest.mark.parametrize("keep", [{True}, {0.7}, {0, 1.0}])
+    def test_rejects_non_integer_keep(self, keep):
+        with pytest.raises(ValueError, match="bad subsystem index"):
+            partial_trace(np.eye(4), [2, 2], keep=keep)
+
+    def test_numpy_integers_are_valid(self):
+        a = random_density_matrix(2, np.random.default_rng(8))
+        reduced = partial_trace(
+            np.kron(a, np.eye(2) / 2), np.array([2, 2]), keep={np.int64(0)}
+        )
+        np.testing.assert_allclose(reduced, a, atol=1e-12)
+
 
 class TestEigHermitian:
     def test_identity(self):

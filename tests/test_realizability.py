@@ -9,6 +9,7 @@ from envchan import (
     LIKELY_NOT_REALIZABLE,
     NUMERICAL_EVIDENCE_NOTE,
     REALIZED,
+    Channel,
     CounterexampleParams,
     Dilation,
     SearchConfig,
@@ -462,12 +463,18 @@ class TestSearch:
         assert more.best_residual <= few.best_residual + 1e-12
 
     def test_traced_layer_names_are_called(self, monkeypatch):
-        # The benchmark traces the objective, each restart and each re-check
-        # by rebinding these module-level names; the search must call
-        # through them, re-checking once per restart run.
-        calls = {"objective": 0, "maxiter": [], "recheck": 0}
+        # The benchmark traces the objective, each restart, each re-check
+        # and the re-check's dilation, distance and Choi constructor by
+        # rebinding these names; the search must call through them,
+        # re-checking once per restart run.
+        calls = {
+            "objective": 0, "maxiter": [], "recheck": 0,
+            "channel_from_dilation": 0, "distance": 0, "from_choi": 0,
+        }
         objective, minimize = realizability._objective_and_grad, realizability.minimize
         recheck = realizability.realization_residual
+        from_dilation, distance_ = realizability.channel_from_dilation, realizability.distance
+        from_choi = vars(Channel)["from_choi"].__func__
 
         def counted_objective(*args):
             calls["objective"] += 1
@@ -481,7 +488,22 @@ class TestSearch:
             calls["recheck"] += 1
             return recheck(*args)
 
+        def counted_from_dilation(*args):
+            calls["channel_from_dilation"] += 1
+            return from_dilation(*args)
+
+        def counted_distance(*args):
+            calls["distance"] += 1
+            return distance_(*args)
+
+        def counted_from_choi(cls, *args, **kwargs):
+            calls["from_choi"] += 1
+            return from_choi(cls, *args, **kwargs)
+
         monkeypatch.setattr(realizability, "_objective_and_grad", counted_objective)
+        monkeypatch.setattr(realizability, "channel_from_dilation", counted_from_dilation)
+        monkeypatch.setattr(realizability, "distance", counted_distance)
+        monkeypatch.setattr(Channel, "from_choi", classmethod(counted_from_choi))
         monkeypatch.setattr(realizability, "realization_residual", counted_recheck)
         monkeypatch.setattr(realizability, "minimize", counted_minimize)
         target = build_counterexample(
@@ -494,6 +516,8 @@ class TestSearch:
         assert calls["maxiter"] == [40, 40]
         assert calls["objective"] > 2
         assert calls["recheck"] == 2
+        for layer in ("channel_from_dilation", "distance", "from_choi"):
+            assert calls[layer] >= calls["recheck"], layer
 
     def test_jacobian_only_at_start_and_accepted_points(self, monkeypatch):
         # A trial point costs one residual; J is built at the start point

@@ -22,6 +22,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             basis_state(3, 3)
 
+    @pytest.mark.parametrize("index", [True, 1.0, 0.5])
+    def test_basis_state_rejects_non_integer_index(self, index):
+        # True would index every entry and give the unnormalized [1, 1, 1].
+        with pytest.raises(ValueError, match="bad subsystem index"):
+            basis_state(3, index)
+
+    def test_basis_state_accepts_numpy_integer(self):
+        np.testing.assert_array_equal(basis_state(3, np.int64(2)), [0, 0, 1])
+
     def test_projector(self):
         p = projector(basis_state(2, 0))
         np.testing.assert_array_equal(p, np.diag([1.0, 0.0]))
