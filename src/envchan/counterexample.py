@@ -255,9 +255,12 @@ def match_family(channel: Channel) -> tuple[CounterexampleParams, float] | None:
     Returns ``(params, choi_distance)``: ``params`` describe the channel
     after rotating φ to |0'⟩ (the family is closed under output rotations,
     and the certificate is basis-independent), and ``choi_distance`` is the
-    Frobenius distance to the rebuilt member. Returns None if the channel is
-    not in the family or fails a family precondition (e.g. d = 2 with zero
-    overlap).
+    Frobenius distance to the rebuilt member. ``params.rho_target`` is ρ' in
+    a basis whose first vector is φ and whose other vectors come from
+    ``complete_unitary(φ)``: its spectrum and its ⟨0'|ρ'|0'⟩ entry belong to
+    the channel, its other entries depend on the completion. Returns None if
+    the channel is not in the family or fails a family precondition (e.g.
+    d = 2 with zero overlap).
     """
     d, d_fin = channel.d_in, channel.d_out
     lam, vecs = eig_hermitian(apply(channel, projector(basis_state(d, 0))))

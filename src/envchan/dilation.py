@@ -10,10 +10,10 @@ where U acts on the joint space ordered [initial, final, environment] and
 auxiliary environment at all — the final system doubles as the environment —
 and is treated as a one-dimensional trivial factor internally.
 
-Which entry of U is which Kraus entry is stated in one place,
-:func:`_kraus_rows`; the channel of a dilation, the Stinespring construction
-and the realization searcher's map from a Kraus set onto U's entries all
-derive from it.
+Which entry of U is which Kraus entry is stated once, in :func:`_kraus_rows`;
+the channel of a dilation gathers through it, and the Stinespring
+construction and the realization searcher scatter through its inverse
+:func:`_kraus_columns`.
 """
 
 from __future__ import annotations
@@ -100,11 +100,18 @@ def _kraus_rows(columns: np.ndarray, d_in: int, d_fin: int) -> np.ndarray:
     ``columns`` holds U's columns for the inputs |i, t⟩ (input-major), with
     rows ordered [initial a, final m, environment b]. Returns one row per
     (t, a, b) holding vec(E_{t,a,b}) in the input-major convention of the
-    channels module. Applied to U's flat indices, it gives the layout as a
-    gather; the searcher scatters its Kraus sets into U's layout through it.
+    channels module. :func:`_kraus_columns` is its inverse.
     """
     t = columns.reshape(d_in, d_fin, -1, d_in, columns.shape[1] // d_in)
     return t.transpose(4, 0, 2, 3, 1).reshape(-1, d_in * d_fin)
+
+
+def _kraus_columns(rows: np.ndarray, d_in: int, d_fin: int, d_env: int = 0):
+    """The inverse of :func:`_kraus_rows`, given the environment slot's length
+    ``d_env`` (0 meaning absent, as in :class:`Dilation`): the Kraus rows
+    (t, a, b) laid out as U's columns, one per input |i, t⟩."""
+    t = rows.reshape(-1, d_in, max(d_env, 1), d_in, d_fin)
+    return t.transpose(1, 4, 2, 3, 0).reshape(-1, d_in * len(t))
 
 
 def _env_components(d: Dilation):
@@ -157,10 +164,9 @@ def stinespring_from_kraus(k: KrausSet) -> Dilation:
     block = d_out * r
     side = d_in * block
     # Kraus E_k sits at (t=0, a=0, b=k): the first r rows of the layout.
-    layout = _kraus_rows(np.arange(side * side).reshape(side, side), d_in, d_out)
-    u = np.zeros(side * side, dtype=complex)
-    u[layout[:r]] = np.stack([_vec(op) for op in k.operators])
-    u = u.reshape(side, side)
+    rows = np.zeros((side * r, d_in * d_out), dtype=complex)
+    rows[:r] = np.stack([_vec(op) for op in k.operators])
+    u = _kraus_columns(rows, d_in, d_out, r)
     filler = np.arange(side) % block != 0
     u[:, filler] = complete_unitary(u[:, ~filler])[:, d_in:]
     env_state = projector(basis_state(block, 0))

@@ -16,11 +16,12 @@ I_d ⊗ diag(p), to zero by Levenberg–Marquardt (``minimize``, NumPy only),
 multi-restarted from seeded random isometries. Steps dW = [W, W⊥]·C are
 taken in a chart centred at W and retracted to polar(W + dW) (Absil,
 Mahony & Sepulchre 2008, ch. 4); F = W·E is linear in W, so the Jacobian
-is plain linear algebra. A trial step costs one residual; the Jacobian is
-built at the start point and at accepted points only. A restart stops once
-a step lowers ‖R‖² by at most 1e-4 of itself or barely moves the point, or
-after ``max_iters`` trial steps. Near a zero residual the method converges
-quadratically, so a realizable target needs tens of steps, not hundreds.
+is plain linear algebra. Every point costs one residual, which an accepted
+step keeps; the Jacobian is built at the start point and at accepted points
+only. A restart stops once a step lowers ‖R‖² by at most 1e-4 of itself or
+barely moves the point, or after ``max_iters`` trial steps. Near a zero
+residual the method converges quadratically, so a realizable target needs
+tens of steps, not hundreds.
 Each restart's end point is decoded into a unitary and a spectrum, and its
 Choi distance to the target is re-checked through the dilation path; the
 re-checked residuals alone decide the early stop and the verdict, against
@@ -38,7 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
-from .dilation import Dilation, _kraus_rows, channel_from_dilation
+from .dilation import Dilation, _kraus_columns, channel_from_dilation
 from .linalg import _frame, _is_integer
 from .tolerances import ENV_SPECTRUM_CUTOFF
 
@@ -72,23 +73,24 @@ class LeastSquaresResult:
     nfev: int
 
 
-def minimize(fun, x0, args=(), *, residual, retract, options) -> LeastSquaresResult:
-    """Levenberg–Marquardt on ‖r(x)‖²: ``fun(x, *args)`` returns the real
-    residual vector r and its Jacobian J over real step coordinates at x,
-    ``residual(x, *args)`` r alone, and ``retract(x, δ)`` the point a step δ
+def minimize(jacobian, x0, args=(), *, residual, retract, options) -> LeastSquaresResult:
+    """Levenberg–Marquardt on ‖r(x)‖²: ``residual(x, *args)`` returns the
+    real residual vector r at x, ``jacobian(x, *args)`` only its Jacobian J
+    over real step coordinates, and ``retract(x, δ)`` the point a step δ
     leads to (``np.add`` on ℝⁿ).
 
     Each trial step solves (JᵀJ + μI)δ = −Jᵀr and is accepted when it lowers
-    ‖r‖². A trial point costs one ``residual``; ``fun`` runs only at the
-    start point and at accepted points. The damping μ starts at
-    1e-3·max diag(JᵀJ) and follows Nielsen's update (Nielsen 1999, "Damping
-    parameter in Marquardt's method"). ``options["maxiter"]`` caps the trial
-    steps. Deterministic: the same input gives the same iterates. The search
-    calls this module-level name, so it stays rebindable for tracing and
-    tests.
+    ‖r‖². Every point costs one ``residual`` and an accepted trial keeps its
+    r, so ``jacobian`` returns J only and runs only at the start point and
+    at accepted points. The damping μ starts at 1e-3·max diag(JᵀJ) and
+    follows Nielsen's update (Nielsen 1999, "Damping parameter in
+    Marquardt's method"). ``options["maxiter"]`` caps the trial steps.
+    Deterministic: the same input gives the same iterates. The search calls
+    this module-level name, so it stays rebindable for tracing and tests;
+    the benchmark traces it under this name, with this ``options`` keyword.
     """
     x = x0
-    r, jac = fun(x, *args)
+    r, jac = residual(x, *args), jacobian(x, *args)
     cost, nfev, nit = r @ r, 1, 0
     mu, nu = 1e-3 * np.max(np.sum(jac * jac, axis=0)), 2.0
     x_norm = np.linalg.norm(x)
@@ -111,9 +113,9 @@ def minimize(fun, x0, args=(), *, residual, retract, options) -> LeastSquaresRes
         rho = (cost - trial_cost) / (step @ (mu * step - grad))
         if rho > 0:
             converged = cost - trial_cost <= _DECREASE_STOP * cost
-            x, cost = trial, trial_cost
+            x, r, cost = trial, trial_r, trial_cost
             x_norm = np.linalg.norm(x)
-            r, jac = fun(x, *args)
+            jac = jacobian(x, *args)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         else:
@@ -193,23 +195,6 @@ class SearchResult:
     best_unitary: np.ndarray
 
 
-@lru_cache(maxsize=None)
-def _u_layout(d: int, dp: int) -> np.ndarray:
-    """Flat index into the Kraus rows A of every entry of U, in the layout of
-    ``dilation._kraus_rows``: U.ravel() == A.ravel()[index]. Built once per
-    (d, d_fin) and shared read-only by every call."""
-    n = d * dp
-    index = np.argsort(_kraus_rows(np.arange(n * n).reshape(n, n), d, dp).ravel())
-    index.flags.writeable = False
-    return index
-
-
-def _to_u_layout(rows: np.ndarray, d: int, dp: int) -> np.ndarray:
-    """Kraus rows (n, n) rearranged into U's layout, one column per input
-    |i, s⟩."""
-    return rows.ravel()[_u_layout(d, dp)].reshape(rows.shape)
-
-
 def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
     """p_s = tr(G_ss)/d: the I_d ⊗ diag(p) closest to G = Fm†Fm."""
     return g.diagonal().real.reshape(d, dp).sum(axis=0) / d
@@ -279,12 +264,13 @@ def _tangent_basis(n: int, kappa: int) -> np.ndarray:
 def _jacobian_tables(d: int, dp: int, kappa: int):
     """Tables that build all 2nκ − κ² Jacobian columns at once, for an n×κ
     isometry at (d, d_fin). ``rows`` (n × Qκ) sets the C_q of
-    ``_tangent_basis`` side by side, so that (V·rows).reshape(nQ, κ)·E lays
-    the dF_q = V·C_q·E side by side as dF = [dF_0 … dF_{Q−1}] (n × Qn).
-    ``layout`` gathers dF into U's layout block by block, and ``a``/``b``
-    and ``u``/``w`` are ``_residual_terms``' indices and weights for the
-    real view of every block of such an n × Qn matrix, one column per q.
-    Built once per (d, d_fin, κ) and shared read-only."""
+    ``_tangent_basis`` side by side, so that (V·rows).reshape(nQ, κ)·E gives
+    the Kraus rows (t, a, q) of every dF_q = V·C_q·E, with the tangent index
+    q in the environment slot: ``_kraus_columns`` lays them out as
+    dF = [dF_0 … dF_{Q−1}] (n × Qn). ``a``/``b`` and ``u``/``w`` are
+    ``_residual_terms``' indices and weights for the real view of every
+    block of such an n × Qn matrix, one column per q. Built once per
+    (d, d_fin, κ) and shared read-only."""
     n = d * dp
     basis = _tangent_basis(n, kappa)
     count = len(basis)
@@ -295,12 +281,11 @@ def _jacobian_tables(d: int, dp: int, kappa: int):
         block q of an n × Qn matrix, where (x, y) sits at x·Qn + q·n + y."""
         return (index // n * count * n + index % n)[:, None] + n * np.arange(count)
 
-    layout = spread(_u_layout(d, dp)).reshape(n, n, count).transpose(0, 2, 1).ravel()
     a, b, u, w = _residual_terms(n)
     a, b = (2 * spread(terms // 2) + terms[:, None] % 2 for terms in (a, b))
-    for array in (rows, layout, a, b):
+    for array in (rows, a, b):
         array.flags.writeable = False
-    return rows, layout, a, b, u[:, None], w[:, None]
+    return rows, a, b, u[:, None], w[:, None]
 
 
 def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -316,25 +301,27 @@ def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int) -> np.ndarray:
     in U's layout, p = ``_spectrum(G)``. ‖r‖² is zero exactly when Fm's
     columns, scaled by 1/√p_s, are orthonormal: then they are columns of a
     unitary that realizes the target with spectrum p."""
-    fm = _to_u_layout(w @ kraus, d, dp)
+    fm = _kraus_columns(w @ kraus, d, dp)
     return _residual_vector(fm.conj().T @ fm, d, dp, *_residual_terms(d * dp))
 
 
 def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
-    """``_residual`` at w and its exact Jacobian, the derivative of r along
-    each dW_q = V·C_q of ``_tangent_basis``, which is also its derivative
-    through ``_retract``."""
+    """The exact Jacobian J of ``_residual`` at w, its derivative along each
+    dW_q = V·C_q of ``_tangent_basis``, which is also its derivative
+    through ``_retract``. J only: ``minimize`` keeps r from ``_residual``.
+    The name is kept because the benchmark traces it."""
     n, kappa = w.shape
-    fm = _to_u_layout(w @ kraus, d, dp)
-    residual = _residual_vector(fm.conj().T @ fm, d, dp, *_residual_terms(n))
+    fm = _kraus_columns(w @ kraus, d, dp)
     # F = W·E is linear in W, so dF_q = V·C_q·E, and dG_q = Fm†dFm_q + h.c.
     # is twice the Hermitian part of Fm†dFm_q: two products build every
-    # dF_q, one gather puts them in U's layout, and one more product gives
-    # every Fm†dFm_q, whose residual entries are J's columns.
-    rows, layout, *terms = _jacobian_tables(d, dp, kappa)
-    dfm = ((_frame(w) @ rows).reshape(-1, kappa) @ kraus).ravel()[layout]
+    # dF_q, one scatter lays them side by side in U's layout, and one more
+    # product gives every Fm†dFm_q, whose residual entries are J's columns.
+    rows, *terms = _jacobian_tables(d, dp, kappa)
+    dfm = _kraus_columns(
+        (_frame(w) @ rows).reshape(-1, kappa) @ kraus, d, dp, rows.shape[1] // kappa
+    )
     h = 2.0 * fm.conj().T @ dfm.reshape(n, -1)
-    return residual, _residual_vector(h, d, dp, *terms)
+    return _residual_vector(h, d, dp, *terms)
 
 
 def _decode_point(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
@@ -344,7 +331,7 @@ def _decode_point(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     round-off by 1/√p_s would amplify it into a non-realization; the polar
     factor completes them. p is normalized because E lacks the Choi
     eigenvalues below the Kraus rank cutoff."""
-    fm = _to_u_layout(w @ kraus, d, dp)
+    fm = _kraus_columns(w @ kraus, d, dp)
     p = _spectrum(fm.conj().T @ fm, d, dp)
     scale = np.divide(
         1.0, np.sqrt(p), out=np.zeros(dp), where=p > ENV_SPECTRUM_CUTOFF

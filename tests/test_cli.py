@@ -276,6 +276,34 @@ class TestCertify:
         canonical = matrix_from_pairs(results["membership"]["canonical_rho_target"])
         np.testing.assert_allclose(canonical, np.eye(2) / 2, atol=1e-9)
 
+    def test_canonical_rho_target_is_fixed_on_phi_only(self, capsys, tmp_path):
+        # canonical_rho_target is ρ′ in a basis whose first vector is the
+        # common pure image φ and whose others come from complete_unitary(φ).
+        # Two output unitaries that agree on φ give one spectrum and one
+        # ⟨0′|ρ′|0′⟩; the other entries follow the basis of φ's complement.
+        rng = np.random.default_rng(24)
+        member = build_counterexample(
+            CounterexampleParams(3, 3, random_density_matrix(3, rng))
+        )
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        first = np.linalg.qr(g)[0]
+        turn = np.eye(3, dtype=complex)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        turn[1:, 1:] = np.linalg.qr(g)[0]
+        reported = []
+        for k, unitary in enumerate((first, first @ turn)):
+            path = tmp_path / f"member-{k}.json"
+            rotated = Channel.from_kraus(unitary @ op for op in member.kraus.operators)
+            save_json(channel_to_dict(rotated), path)
+            code, data, _ = run_json(capsys, "certify", str(path))
+            assert code == 0
+            membership = data["results"]["membership"]
+            reported.append(matrix_from_pairs(membership["canonical_rho_target"]))
+        a, b = reported
+        np.testing.assert_allclose(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b), atol=1e-12)
+        assert a[0, 0] == pytest.approx(b[0, 0], abs=1e-12)
+        assert not np.allclose(a, b, atol=1e-6)
+
     def test_non_family_file_is_inconclusive(self, capsys, identity_file):
         code, data, _ = run_json(capsys, "certify", identity_file)
         assert code == 3

@@ -20,6 +20,7 @@ from envchan import (
     random_density_matrix,
     stinespring_from_kraus,
 )
+from envchan.dilation import _kraus_columns, _kraus_rows
 
 
 def haar_unitary(n, rng):
@@ -101,6 +102,37 @@ class TestChannelFromDilation:
         for field in (dil.unitary, dil.env_state):
             with pytest.raises(ValueError, match="read-only"):
                 field[0, 0] = 0.0
+
+
+class TestKrausLayout:
+    @pytest.mark.parametrize("d_in, d_fin, d_env", [(2, 2, 0), (3, 2, 0), (2, 3, 4)])
+    def test_columns_and_rows_are_inverse(self, d_in, d_fin, d_env):
+        # _kraus_rows gathers U's entries into Kraus rows and _kraus_columns
+        # scatters them back, each undoing the other.
+        side = d_in * d_fin * max(d_env, 1)
+        rng = np.random.default_rng([22, d_in, d_fin, d_env])
+        u = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        rows = _kraus_rows(u, d_in, d_fin)
+        assert rows.shape == (side * side // (d_in * d_fin), d_in * d_fin)
+        np.testing.assert_array_equal(_kraus_columns(rows, d_in, d_fin, d_env), u)
+        rows = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+        back = _kraus_rows(_kraus_columns(rows, d_in, d_fin, d_env), d_in, d_fin)
+        np.testing.assert_array_equal(back, rows)
+
+    @pytest.mark.parametrize("d, dp, count", [(2, 2, 15), (3, 2, 27)])
+    def test_environment_slot_stacks_blocks(self, d, dp, count):
+        # The searcher's Jacobian stacks `count` Kraus sets as rows (t, a, q),
+        # q in the environment slot: one scatter lays them out as n × count·n,
+        # block q holding set q in U's layout, and one gather undoes it.
+        n = d * dp
+        rng = np.random.default_rng([23, d, dp])
+        rows = rng.normal(size=(n * count, n)) + 1j * rng.normal(size=(n * count, n))
+        stacked = _kraus_columns(rows, d, dp, count)
+        assert stacked.shape == (n * count, n)
+        blocks = stacked.reshape(n, count, n)
+        for q, kraus_set in enumerate(rows.reshape(n, count, n).transpose(1, 0, 2)):
+            np.testing.assert_array_equal(blocks[:, q], _kraus_columns(kraus_set, d, dp))
+        np.testing.assert_array_equal(_kraus_rows(stacked, d, dp), rows)
 
 
 class TestStinespring:

@@ -33,6 +33,7 @@ from envchan.realizability import (
     _minimal_kraus_rows,
     _objective_and_grad,
     _polar,
+    _residual,
     _retract,
     _tangent_basis,
     minimize,
@@ -190,7 +191,7 @@ def check_residual_and_jacobian(w, kraus, d, dp, eps=1e-6):
     central differences of the independent r along the retraction; returns
     ‖r‖²."""
     n, kappa = w.shape
-    residual, jac = _objective_and_grad(w, kraus, d, dp)
+    residual, jac = _residual(w, kraus, d, dp), _objective_and_grad(w, kraus, d, dp)
     expected = gram_residual(w, kraus, d, dp)
     np.testing.assert_allclose(residual, residual_entries(expected), atol=1e-12)
     norm = np.vdot(expected, expected).real
@@ -259,7 +260,7 @@ class TestGradient:
         for step in _frame(w) @ _tangent_basis(n, kappa):
             dg = fm.conj().T @ u_columns(step @ kraus, d, dp)
             columns.append(residual_entries(centred(dg + dg.conj().T, d, dp)))
-        _, jac = _objective_and_grad(w, kraus, d, dp)
+        jac = _objective_and_grad(w, kraus, d, dp)
         np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, kappa", [(4, 4), (4, 2), (9, 3), (6, 1)])
@@ -306,7 +307,7 @@ class TestDecode:
         rng = np.random.default_rng([17, d, dp])
         spectrum = rng.dirichlet(np.ones(dp))
         target, kraus, w = realizable_point(d, dp, spectrum, rng)
-        residual, jac = _objective_and_grad(w, kraus, d, dp)
+        residual, jac = _residual(w, kraus, d, dp), _objective_and_grad(w, kraus, d, dp)
         assert residual @ residual < 1e-26
         assert np.linalg.norm(jac.T @ residual) < 1e-12
         unitary, decoded = _decode_point(w, kraus, d, dp)
@@ -344,20 +345,23 @@ class TestDecode:
 
 def rosenbrock(x):
     """Rosenbrock's function as residuals (10(x₂ − x₁²), 1 − x₁), zero at
-    (1, 1), and their Jacobian."""
-    residual = np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-    jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-    return residual, jac
+    (1, 1)."""
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x):
+    """The Jacobian of ``rosenbrock``."""
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
 # Run on ℝⁿ, where a step's retraction is x + δ.
-EUCLIDEAN = {"residual": lambda x: rosenbrock(x)[0], "retract": np.add}
+EUCLIDEAN = {"residual": rosenbrock, "retract": np.add}
 
 
 class TestMinimize:
     def test_converges_on_a_zero_residual(self):
         res = minimize(
-            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
+            rosenbrock_jacobian, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
         )
         assert res.status == 0
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-10)
@@ -366,17 +370,17 @@ class TestMinimize:
 
     def test_capped_run_reports_status_one(self):
         res = minimize(
-            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 3}
+            rosenbrock_jacobian, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 3}
         )
         assert res.status == 1
         assert res.nit == 3
 
     def test_deterministic(self):
         a = minimize(
-            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
+            rosenbrock_jacobian, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
         )
         b = minimize(
-            rosenbrock, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
+            rosenbrock_jacobian, np.array([-1.2, 1.0]), **EUCLIDEAN, options={"maxiter": 200}
         )
         np.testing.assert_array_equal(a.x, b.x)
         assert (a.nit, a.nfev) == (b.nit, b.nfev)
@@ -384,17 +388,17 @@ class TestMinimize:
     def test_passes_args_and_leaves_x0_alone(self):
         # A least-squares fit of a line through three points, shifted by an
         # argument: the minimum has a non-zero residual.
+        t = np.array([0.0, 1.0, 2.0])
+
         def line(x, shift):
-            t = np.array([0.0, 1.0, 2.0])
-            residual = x[0] + x[1] * t - (np.array([1.0, 2.0, 4.0]) + shift)
-            return residual, np.stack([np.ones(3), t], axis=1)
+            return x[0] + x[1] * t - (np.array([1.0, 2.0, 4.0]) + shift)
 
         x0 = np.zeros(2)
         res = minimize(
-            line,
+            lambda x, shift: np.stack([np.ones(3), t], axis=1),
             x0,
             args=(1.0,),
-            residual=lambda x, shift: line(x, shift)[0],
+            residual=line,
             retract=np.add,
             options={"maxiter": 100},
         )
@@ -520,22 +524,23 @@ class TestSearch:
             assert calls[layer] >= calls["recheck"], layer
 
     def test_jacobian_only_at_start_and_accepted_points(self, monkeypatch):
-        # A trial point costs one residual; J is built at the start point
+        # Every point costs one residual; J is built at the start point
         # and at each accepted point, and never at a rejected one. Accepted
         # means ‖r‖² went down, so the trial costs alone fix the order in
-        # which the two evaluators must run.
+        # which the two evaluators must run. Each J call is tagged with ‖r‖²
+        # at its own point, recomputed here outside the count.
         calls, results = [], []
         objective, residual = realizability._objective_and_grad, realizability._residual
         minimize = realizability.minimize
 
         def counted_objective(*args):
-            r, jac = objective(*args)
+            r = residual(*args)
             calls.append(("jacobian", r @ r))
-            return r, jac
+            return objective(*args)
 
         def counted_residual(*args):
             r = residual(*args)
-            calls.append(("trial", r @ r))
+            calls.append(("residual", r @ r))
             return r
 
         def kept_minimize(*args, **kwargs):
@@ -549,15 +554,15 @@ class TestSearch:
             CounterexampleParams(2, 2, np.diag([0.5, 0.5]))
         )
         search_mixed_env_realization(target, SearchConfig(restarts=1, max_iters=60))
-        trials = [cost for kind, cost in calls if kind == "trial"]
-        expected, cost = [("jacobian", calls[0][1])], calls[0][1]
+        start, *trials = [cost for kind, cost in calls if kind == "residual"]
+        expected, cost = [("residual", start), ("jacobian", start)], start
         for trial in trials:
-            expected.append(("trial", trial))
+            expected.append(("residual", trial))
             if trial < cost:
                 expected.append(("jacobian", trial))
                 cost = trial
         assert calls == expected
-        accepted = len(expected) - 1 - len(trials)
+        accepted = len(expected) - 2 - len(trials)
         assert 0 < accepted < len(trials)
         (res,) = results
         assert res.nfev == res.nit + 1 == len(trials) + 1
