@@ -18,10 +18,12 @@ taken in a chart centred at W and retracted to polar(W + dW) (Absil,
 Mahony & Sepulchre 2008, ch. 4); F = W·E is linear in W, so the Jacobian
 is plain linear algebra. Every point costs one residual, which an accepted
 step keeps; the Jacobian is built at the start point and at accepted points
-only. A restart stops once a step lowers ‖R‖² by at most 1e-4 of itself or
-barely moves the point, or after ``max_iters`` trial steps. Near a zero
-residual the method converges quadratically, so a realizable target needs
-tens of steps, not hundreds.
+that do not end the restart. Once ‖R‖² < 1e-2, each step adds half the
+geodesic acceleration along the retraction (Transtrum & Sethna 2012), so
+the iterates follow the curved valley around a zero residual instead of
+zigzagging across it, and a realizable target needs tens of steps, not
+hundreds. A restart stops once a step lowers ‖R‖² by at most 1e-4 of
+itself or barely moves the point, or after ``max_iters`` trial steps.
 Each restart's end point is decoded into a unitary and a spectrum, and its
 Choi distance to the target is re-checked through the dilation path; the
 re-checked residuals alone decide the early stop and the verdict, against
@@ -59,6 +61,10 @@ NUMERICAL_EVIDENCE_NOTE = (
 # cannot go to zero and Gauss–Newton steps would otherwise crawl.
 _DECREASE_STOP = 1e-4
 _STEP_STOP = 1e-10
+# ``minimize`` adds geodesic acceleration a to a step v below this ‖r‖²,
+# when 2‖a‖ ≤ this ratio·‖v‖ (Transtrum & Sethna 2012's α).
+_ACCELERATE_BELOW = 1e-2
+_ACCELERATION_RATIO = 0.75
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,49 +79,66 @@ class LeastSquaresResult:
     nfev: int
 
 
-def minimize(jacobian, x0, args=(), *, residual, retract, options) -> LeastSquaresResult:
-    """Levenberg–Marquardt on ‖r(x)‖²: ``residual(x, *args)`` returns the
-    real residual vector r at x, ``jacobian(x, *args)`` only its Jacobian J
-    over real step coordinates, and ``retract(x, δ)`` the point a step δ
-    leads to (``np.add`` on ℝⁿ).
+def minimize(
+    jacobian, x0, args=(), *, residual, curvature, retract, options
+) -> LeastSquaresResult:
+    """Levenberg–Marquardt on ‖r(x)‖², with geodesic acceleration near a
+    zero residual: ``residual(x, *args)`` returns the real residual vector r
+    at x, ``jacobian(x, *args)`` only its Jacobian J over real step
+    coordinates, ``curvature(x, δ, *args)`` the second derivative r_δδ of r
+    along t ↦ ``retract(x, t·δ)`` at t = 0, and ``retract(x, δ)`` the point
+    a step δ leads to (``np.add`` on ℝⁿ).
 
-    Each trial step solves (JᵀJ + μI)δ = −Jᵀr and is accepted when it lowers
-    ‖r‖². Every point costs one ``residual`` and an accepted trial keeps its
-    r, so ``jacobian`` returns J only and runs only at the start point and
-    at accepted points. The damping μ starts at 1e-3·max diag(JᵀJ) and
-    follows Nielsen's update (Nielsen 1999, "Damping parameter in
-    Marquardt's method"). ``options["maxiter"]`` caps the trial steps.
-    Deterministic: the same input gives the same iterates. The search calls
-    this module-level name, so it stays rebindable for tracing and tests;
-    the benchmark traces it under this name, with this ``options`` keyword.
+    Each trial step solves (JᵀJ + μI)v = −Jᵀr. Once ‖r‖² <
+    ``_ACCELERATE_BELOW``, it also solves (JᵀJ + μI)a = −Jᵀr_vv with the same
+    matrix and tries v + a/2 when 2‖a‖ ≤ ``_ACCELERATION_RATIO``·‖v‖, v
+    otherwise (Transtrum & Sethna 2012, "Improvements to the
+    Levenberg–Marquardt algorithm for nonlinear least-squares
+    minimization"). A trial is accepted when it lowers ‖r‖²; the gain ratio
+    and the stop rules measure v alone. Every point costs one ``residual``
+    and an accepted trial keeps its r, so ``jacobian`` returns J only and
+    runs only at the start point and at accepted points that do not end the
+    run. The damping μ starts at 1e-3·max diag(JᵀJ) and follows Nielsen's
+    update (Nielsen 1999, "Damping parameter in Marquardt's method").
+    ``options["maxiter"]`` caps the trial steps. Deterministic: the same
+    input gives the same iterates. The search calls this module-level name,
+    so it stays rebindable for tracing and tests; the benchmark traces it
+    under this name, with this ``options`` keyword.
     """
-    x = x0
+    x, maxiter = x0, options["maxiter"]
     r, jac = residual(x, *args), jacobian(x, *args)
     cost, nfev, nit = r @ r, 1, 0
     mu, nu = 1e-3 * np.max(np.sum(jac * jac, axis=0)), 2.0
     x_norm = np.linalg.norm(x)
     converged = cost == 0
-    while not converged and nit < options["maxiter"]:
+    while not converged and nit < maxiter:
         grad = jac.T @ r
         gram = jac.T @ jac
         gram.flat[:: len(gram) + 1] += mu
         step = -np.linalg.solve(gram, grad)
-        if np.sqrt(step @ step) <= _STEP_STOP * x_norm:
+        step_norm = np.sqrt(step @ step)
+        if step_norm <= _STEP_STOP * x_norm:
             converged = True
             break
         nit += 1
-        trial = retract(x, step)
+        move = step
+        if cost < _ACCELERATE_BELOW:
+            accel = -np.linalg.solve(gram, jac.T @ curvature(x, step, *args))
+            if 2.0 * np.sqrt(accel @ accel) <= _ACCELERATION_RATIO * step_norm:
+                move = step + 0.5 * accel
+        trial = retract(x, move)
         trial_r = residual(trial, *args)
         nfev += 1
         trial_cost = trial_r @ trial_r
         # Gain ratio: actual decrease of ‖r‖² over the decrease the
-        # linear model predicts, δᵀ(μδ − Jᵀr).
+        # linear model predicts for v, vᵀ(μv − Jᵀr).
         rho = (cost - trial_cost) / (step @ (mu * step - grad))
         if rho > 0:
             converged = cost - trial_cost <= _DECREASE_STOP * cost
             x, r, cost = trial, trial_r, trial_cost
             x_norm = np.linalg.norm(x)
-            jac = jacobian(x, *args)
+            if not converged and nit < maxiter:
+                jac = jacobian(x, *args)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         else:
@@ -288,11 +311,16 @@ def _jacobian_tables(d: int, dp: int, kappa: int):
     return rows, a, b, u[:, None], w[:, None]
 
 
-def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """polar(W + dW), with dW = V·Σ_q step_q·C_q (``_tangent_basis``)."""
+def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The tangent dW = V·Σ_q step_q·C_q at w (``_tangent_basis``)."""
     basis = _tangent_basis(*w.shape)
     tangent = step @ basis.reshape(len(basis), -1)
-    return _polar(w + _frame(w) @ tangent.reshape(w.shape))
+    return _frame(w) @ tangent.reshape(w.shape)
+
+
+def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """polar(W + dW), with dW = ``_tangent(w, step)``."""
+    return _polar(w + _tangent(w, step))
 
 
 def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int) -> np.ndarray:
@@ -322,6 +350,25 @@ def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     )
     h = 2.0 * fm.conj().T @ dfm.reshape(n, -1)
     return _residual_vector(h, d, dp, *terms)
+
+
+def _curvature(
+    w: np.ndarray, step: np.ndarray, kraus: np.ndarray, d: int, dp: int
+) -> np.ndarray:
+    """r_vv: the second derivative of ``_residual`` along the retraction
+    curve t ↦ polar(W + tZ) at t = 0, for Z = ``_tangent(w, step)``.
+
+    W†Z is anti-Hermitian, so (W + tZ)†(W + tZ) = I + t²Z†Z and the curve is
+    W + tZ − (t²/2)·W·Z†Z + O(t³): W' = Z and W'' = −W·Z†Z. F = W·E is
+    linear in W, so Fm' and Fm'' are Z·E and W''·E in U's layout, and G'' =
+    2·Fm'†Fm' + Fm†Fm'' + h.c. is the Hermitian part of 2·Fm†Fm'' +
+    2·Fm'†Fm', whose residual entries are r_vv."""
+    z = _tangent(w, step)
+    fm = _kraus_columns(w @ kraus, d, dp)
+    dfm = _kraus_columns(z @ kraus, d, dp)
+    ddfm = _kraus_columns(-w @ (z.conj().T @ z) @ kraus, d, dp)
+    h = 2.0 * (fm.conj().T @ ddfm + dfm.conj().T @ dfm)
+    return _residual_vector(h, d, dp, *_residual_terms(d * dp))
 
 
 def _decode_point(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
@@ -384,6 +431,7 @@ def search_mixed_env_realization(
             _polar(real + 1j * imag),
             args=(kraus, d, dp),
             residual=_residual,
+            curvature=_curvature,
             retract=_retract,
             options={"maxiter": config.max_iters},
         )

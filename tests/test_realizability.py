@@ -27,6 +27,7 @@ import envchan.realizability as realizability
 from envchan.dilation import _kraus_rows
 from envchan.linalg import complete_unitary
 from envchan.realizability import (
+    _curvature,
     _decode_point,
     _frame,
     _jacobian_tables,
@@ -298,6 +299,27 @@ class TestGradient:
                 array.flat[0] = 0
 
 
+class TestCurvature:
+    @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (2, 3, 2), (3, 3, 9)])
+    def test_matches_central_differences(self, d, dp, kappa):
+        # r_vv is the second derivative of the residual along the
+        # retraction t ↦ polar(W + t·dW), κ < n included; central
+        # differences of the evaluator's residual at ±h·v agree with it to
+        # O(h²) plus round-off of order ε‖r‖/h².
+        rng = np.random.default_rng([22, d, dp, kappa])
+        n, h = d * dp, 1e-4
+        kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
+        w = random_isometry(n, kappa, rng)
+        step = rng.normal(size=2 * n * kappa - kappa * kappa)
+        fd = (
+            _residual(_retract(w, h * step), kraus, d, dp)
+            - 2.0 * _residual(w, kraus, d, dp)
+            + _residual(_retract(w, -h * step), kraus, d, dp)
+        ) / (h * h)
+        curvature = _curvature(w, step, kraus, d, dp)
+        assert np.linalg.norm(curvature - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
 class TestDecode:
     @pytest.mark.parametrize("d, dp", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_known_dilation_is_a_zero(self, d, dp):
@@ -354,8 +376,13 @@ def rosenbrock_jacobian(x):
     return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
+def rosenbrock_curvature(x, v):
+    """The second derivative of ``rosenbrock`` along x + t·v."""
+    return np.array([-20.0 * v[0] ** 2, 0.0])
+
+
 # Run on ℝⁿ, where a step's retraction is x + δ.
-EUCLIDEAN = {"residual": rosenbrock, "retract": np.add}
+EUCLIDEAN = {"residual": rosenbrock, "curvature": rosenbrock_curvature, "retract": np.add}
 
 
 class TestMinimize:
@@ -399,6 +426,7 @@ class TestMinimize:
             x0,
             args=(1.0,),
             residual=line,
+            curvature=lambda x, v, shift: np.zeros(3),
             retract=np.add,
             options={"maxiter": 100},
         )
@@ -524,19 +552,27 @@ class TestSearch:
             assert calls[layer] >= calls["recheck"], layer
 
     def test_jacobian_only_at_start_and_accepted_points(self, monkeypatch):
-        # Every point costs one residual; J is built at the start point
-        # and at each accepted point, and never at a rejected one. Accepted
-        # means ‖r‖² went down, so the trial costs alone fix the order in
-        # which the two evaluators must run. Each J call is tagged with ‖r‖²
+        # Every point costs one residual; J is built at the start point and
+        # at each accepted point that does not end the run, never at a
+        # rejected one. Below ``_ACCELERATE_BELOW`` each trial first takes
+        # the curvature at the current point. Accepted means ‖r‖² went
+        # down, and the run ends on a decrease of at most ``_DECREASE_STOP``
+        # of ‖r‖² or at the cap, so the trial costs alone fix the exact
+        # order of the calls. Each J and curvature call is tagged with ‖r‖²
         # at its own point, recomputed here outside the count.
         calls, results = [], []
         objective, residual = realizability._objective_and_grad, realizability._residual
-        minimize = realizability.minimize
+        curvature, minimize = realizability._curvature, realizability.minimize
 
         def counted_objective(*args):
             r = residual(*args)
             calls.append(("jacobian", r @ r))
             return objective(*args)
+
+        def counted_curvature(w, step, *args):
+            r = residual(w, *args)
+            calls.append(("curvature", r @ r))
+            return curvature(w, step, *args)
 
         def counted_residual(*args):
             r = residual(*args)
@@ -548,24 +584,37 @@ class TestSearch:
             return results[-1]
 
         monkeypatch.setattr(realizability, "_objective_and_grad", counted_objective)
+        monkeypatch.setattr(realizability, "_curvature", counted_curvature)
         monkeypatch.setattr(realizability, "_residual", counted_residual)
         monkeypatch.setattr(realizability, "minimize", kept_minimize)
-        target = build_counterexample(
-            CounterexampleParams(2, 2, np.diag([0.5, 0.5]))
-        )
-        search_mixed_env_realization(target, SearchConfig(restarts=1, max_iters=60))
-        start, *trials = [cost for kind, cost in calls if kind == "residual"]
-        expected, cost = [("residual", start), ("jacobian", start)], start
-        for trial in trials:
-            expected.append(("residual", trial))
-            if trial < cost:
-                expected.append(("jacobian", trial))
-                cost = trial
-        assert calls == expected
-        accepted = len(expected) - 2 - len(trials)
-        assert 0 < accepted < len(trials)
-        (res,) = results
-        assert res.nfev == res.nit + 1 == len(trials) + 1
+        member = build_counterexample(CounterexampleParams(2, 2, np.diag([0.5, 0.5])))
+        realizable = realizable_target(2, 2, np.random.default_rng(9))
+        kinds = []
+        for target, max_iters in [(member, 60), (realizable, 60), (realizable, 5)]:
+            calls.clear()
+            search_mixed_env_realization(
+                target, SearchConfig(restarts=1, max_iters=max_iters)
+            )
+            start, *trials = [cost for kind, cost in calls if kind == "residual"]
+            expected, cost, accepted = [("residual", start), ("jacobian", start)], start, 0
+            for nit, trial in enumerate(trials, 1):
+                if cost < realizability._ACCELERATE_BELOW:
+                    expected.append(("curvature", cost))
+                expected.append(("residual", trial))
+                if trial < cost:
+                    ends = cost - trial <= realizability._DECREASE_STOP * cost
+                    if not ends and nit < max_iters:
+                        expected.append(("jacobian", trial))
+                    cost, accepted = trial, accepted + 1
+            assert calls == expected
+            kinds.append({kind for kind, _ in calls})
+            assert 0 < accepted < len(trials)
+            res = results[-1]
+            assert res.nfev == res.nit + 1 == len(trials) + 1
+        # The member never reaches the acceleration, the realizable target
+        # does, and the capped run ends at the cap.
+        assert "curvature" not in kinds[0] and "curvature" in kinds[1]
+        assert (results[1].status, results[2].status) == (0, 1)
 
         # A restart cut by the cap still ends on an isometry.
         target = realizable_target(4, 4, np.random.default_rng(20))
@@ -573,6 +622,55 @@ class TestSearch:
         w = results[-1].x
         assert results[-1].status == 1
         assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])) <= 1e-12
+
+    def test_member_search_never_takes_the_curvature(self, monkeypatch):
+        # ‖r‖² stays above ``_ACCELERATE_BELOW`` on every restart for the
+        # (2,2) ρ′ = diag(½, ½) member, so its search runs plain
+        # Levenberg–Marquardt; the same counter sees the identity's search
+        # take the curvature.
+        calls = []
+        curvature = realizability._curvature
+
+        def counted_curvature(*args):
+            calls.append(1)
+            return curvature(*args)
+
+        monkeypatch.setattr(realizability, "_curvature", counted_curvature)
+        member = build_counterexample(CounterexampleParams(2, 2, np.diag([0.5, 0.5])))
+        result = search_mixed_env_realization(member)
+        assert result.verdict == LIKELY_NOT_REALIZABLE
+        assert len(result.residual_history) == SearchConfig().restarts
+        assert calls == []
+        assert search_mixed_env_realization(identity_channel(2)).verdict == REALIZED
+        assert calls
+
+    def test_criterion_08_target_8_does_not_crawl(self, monkeypatch):
+        # The ninth criterion-08 target sits in a curved valley near its
+        # zero residual: plain Levenberg–Marquardt took 437 trials on
+        # restart 0, the geodesic acceleration finishes it in under 100.
+        rng = np.random.default_rng(108)
+        for _ in range(9):
+            target = channel_from_dilation(
+                Dilation(
+                    d_in=2,
+                    d_fin=2,
+                    d_env=0,
+                    unitary=haar_unitary(4, rng),
+                    env_state=np.diag(rng.dirichlet(np.ones(2))).astype(complex),
+                )
+            )
+        results, minimize = [], realizability.minimize
+
+        def kept_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(realizability, "minimize", kept_minimize)
+        result = search_mixed_env_realization(target, SearchConfig(restarts=1))
+        (res,) = results
+        assert res.status == 0
+        assert res.nit <= 100
+        assert result.residual_history[0] < 1e-6
 
     @pytest.mark.parametrize(
         "target, verdict",
