@@ -113,12 +113,11 @@ def eig_hermitian(m):
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        big = np.flatnonzero(np.abs(col) > 1e-12)
-        if big.size:
-            lead = col[big[0]]
-            v[:, j] = col * (lead.conj() / abs(lead))
+    # Each column has unit norm, so an entry above 1e-12; the first one
+    # follows the column's leading run of smaller entries.
+    first = np.logical_and.accumulate(np.abs(v) <= 1e-12, axis=0).sum(axis=0)
+    lead = v[first, np.arange(len(w))]
+    v *= lead.conj() / np.abs(lead)
     # Canonical order inside degenerate blocks.
     start = 0
     for end in range(1, len(w) + 1):

@@ -224,35 +224,40 @@ def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _residual_terms(n: int):
-    """Flat indices into the real view of n×n complex matrices, and weights,
-    such that r = h[a]·u + h[b]·w lists the n² independent real entries of
-    the Hermitian part of h: its diagonal, then √2 times the real and the
-    imaginary parts of its upper triangle."""
+def _residual_terms(n: int, blocks: int = 1):
+    """Flat indices (n², blocks) into the real view of an n × blocks·n
+    complex matrix h, and weights (n², 1), such that column q of r = h[a]·u
+    + h[b]·w lists the n² independent real entries of the Hermitian part of
+    h's block q (its columns q·n to q·n + n − 1): its diagonal, then √2
+    times the real and the imaginary parts of its upper triangle. Built once
+    per (n, blocks), read-only."""
     rows, cols = np.triu_indices(n, 1)
-    upper, lower = 2 * (rows * n + cols), 2 * (cols * n + rows)
-    diag = 2 * (n + 1) * np.arange(n)
-    a = np.concatenate([diag, upper, upper + 1])
-    b = np.concatenate([diag, lower, lower + 1])
-    half, pairs = np.sqrt(0.5), len(rows)
-    u = np.concatenate([np.full(n, 0.5), np.full(2 * pairs, half)])
-    w = np.concatenate([np.full(n, 0.5), np.full(pairs, half), np.full(pairs, -half)])
+    width, pairs, half = blocks * n, len(rows), np.sqrt(0.5)
+    upper, lower = rows * width + cols, cols * width + rows
+    diag, start = (width + 1) * np.arange(n), n * np.arange(blocks)
+    imag = np.repeat([0, 0, 1], [n, pairs, pairs])[:, None]
+    a = 2 * (np.concatenate([diag, upper, upper])[:, None] + start) + imag
+    b = 2 * (np.concatenate([diag, lower, lower])[:, None] + start) + imag
+    u = np.repeat([0.5, half, half], [n, pairs, pairs])[:, None]
+    w = np.repeat([0.5, half, -half], [n, pairs, pairs])[:, None]
     for array in (a, b, u, w):
         array.flags.writeable = False
     return a, b, u, w
 
 
-def _residual_vector(h: np.ndarray, d: int, dp: int, a, b, u, w) -> np.ndarray:
+def _residual_vector(h: np.ndarray, d: int, dp: int) -> np.ndarray:
     """The n² independent real entries of R = H − I_d ⊗ diag(p), for H the
     Hermitian part (h + h†)/2 of h (n, n) and p = ``_spectrum(H)``: R's
     diagonal, then √2 times the real and the imaginary parts of its upper
-    triangle, so that ‖r‖² = ‖R‖². (a, b, u, w) are ``_residual_terms(n)``;
-    with ``_jacobian_tables``' terms, h holds many such matrices side by
-    side and r has one column for each."""
+    triangle, so that ‖r‖² = ‖R‖². h may hold m such matrices side by side
+    (n × m·n); r then has one column for each, through
+    ``_residual_terms(n, m)``."""
+    n = d * dp
+    a, b, u, w = _residual_terms(n, h.shape[1] // n)
     flat = h.ravel().view(float)
     r = flat[a] * u
     r += flat[b] * w
-    diag = r[: d * dp].reshape(d, dp, -1)
+    diag = r[:n].reshape(d, dp, -1)
     diag -= np.add.reduce(diag, axis=0) / d
     return r
 
@@ -264,56 +269,32 @@ def _polar(m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _tangent_basis(n: int, kappa: int) -> np.ndarray:
-    """Coefficients C_q (2nκ − κ², n, κ) of an orthonormal real basis of
-    the steps dW = V·C at an n×κ isometry W. C's top κ×κ block is i·H, H
-    Hermitian in the coordinates of ``_residual_terms``, since polar(W + dW)
-    discards a Hermitian one; the real and the imaginary part of each entry
-    of the free lower block follow. Built once per (n, κ), read-only."""
+def _tangent_basis(n: int, kappa: int):
+    """Coefficients C_q of an orthonormal real basis of the steps dW = V·C
+    at an n×κ isometry W, Q = 2nκ − κ² of them, in two layouts: stacked
+    (Q, n, κ), and side by side (n × Qκ, block q is C_q). C's top κ×κ block
+    is i·H, H Hermitian in the coordinates of ``_residual_terms``, since
+    polar(W + dW) discards a Hermitian one; the real and the imaginary part
+    of each entry of the free lower block follow. Built once per (n, κ),
+    read-only."""
     top, lower = kappa * kappa, (n - kappa) * kappa
     a, b, u, w = _residual_terms(kappa)
     herm = np.zeros((top, 2 * top))
-    herm[np.arange(top), a] = u
-    herm[np.arange(top), b] += w
+    herm[np.arange(top)[:, None], a] = u
+    herm[np.arange(top)[:, None], b] += w
     basis = np.zeros((top + 2 * lower, n, kappa), dtype=complex)
     basis[:top, :kappa] = 1j * herm.view(complex).reshape(top, kappa, kappa)
     unit = np.eye(2 * lower).view(complex)
     basis[top:, kappa:] = unit.reshape(2 * lower, n - kappa, kappa)
-    basis.flags.writeable = False
-    return basis
-
-
-@lru_cache(maxsize=None)
-def _jacobian_tables(d: int, dp: int, kappa: int):
-    """Tables that build all 2nκ − κ² Jacobian columns at once, for an n×κ
-    isometry at (d, d_fin). ``rows`` (n × Qκ) sets the C_q of
-    ``_tangent_basis`` side by side, so that (V·rows).reshape(nQ, κ)·E gives
-    the Kraus rows (t, a, q) of every dF_q = V·C_q·E, with the tangent index
-    q in the environment slot: ``_kraus_columns`` lays them out as
-    dF = [dF_0 … dF_{Q−1}] (n × Qn). ``a``/``b`` and ``u``/``w`` are
-    ``_residual_terms``' indices and weights for the real view of every
-    block of such an n × Qn matrix, one column per q. Built once per
-    (d, d_fin, κ) and shared read-only."""
-    n = d * dp
-    basis = _tangent_basis(n, kappa)
-    count = len(basis)
-    rows = basis.transpose(1, 0, 2).reshape(n, count * kappa)
-
-    def spread(index):
-        """Flat indices x·n + y into one n×n block, as (index, q) into
-        block q of an n × Qn matrix, where (x, y) sits at x·Qn + q·n + y."""
-        return (index // n * count * n + index % n)[:, None] + n * np.arange(count)
-
-    a, b, u, w = _residual_terms(n)
-    a, b = (2 * spread(terms // 2) + terms[:, None] % 2 for terms in (a, b))
-    for array in (rows, a, b):
+    rows = basis.transpose(1, 0, 2).reshape(n, -1)
+    for array in (basis, rows):
         array.flags.writeable = False
-    return rows, a, b, u[:, None], w[:, None]
+    return basis, rows
 
 
 def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The tangent dW = V·Σ_q step_q·C_q at w (``_tangent_basis``)."""
-    basis = _tangent_basis(*w.shape)
+    basis = _tangent_basis(*w.shape)[0]
     tangent = step @ basis.reshape(len(basis), -1)
     return _frame(w) @ tangent.reshape(w.shape)
 
@@ -330,7 +311,7 @@ def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int) -> np.ndarray:
     columns, scaled by 1/√p_s, are orthonormal: then they are columns of a
     unitary that realizes the target with spectrum p."""
     fm = _kraus_columns(w @ kraus, d, dp)
-    return _residual_vector(fm.conj().T @ fm, d, dp, *_residual_terms(d * dp))
+    return _residual_vector(fm.conj().T @ fm, d, dp)[:, 0]
 
 
 def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
@@ -340,16 +321,14 @@ def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     The name is kept because the benchmark traces it."""
     n, kappa = w.shape
     fm = _kraus_columns(w @ kraus, d, dp)
-    # F = W·E is linear in W, so dF_q = V·C_q·E, and dG_q = Fm†dFm_q + h.c.
-    # is twice the Hermitian part of Fm†dFm_q: two products build every
-    # dF_q, one scatter lays them side by side in U's layout, and one more
-    # product gives every Fm†dFm_q, whose residual entries are J's columns.
-    rows, *terms = _jacobian_tables(d, dp, kappa)
-    dfm = _kraus_columns(
-        (_frame(w) @ rows).reshape(-1, kappa) @ kraus, d, dp, rows.shape[1] // kappa
-    )
+    # F = W·E is linear in W, so dF_q = V·C_q·E and dG_q = Fm†dFm_q + h.c.
+    # (V·[C_0 … C_{Q−1}]).reshape(nQ, κ)·E holds the Kraus rows (t, a, q) of
+    # every dF_q, q in the environment slot, so ``_kraus_columns`` lays them
+    # side by side in U's layout; one more product gives all of J's columns.
+    basis, rows = _tangent_basis(n, kappa)
+    dfm = _kraus_columns((_frame(w) @ rows).reshape(-1, kappa) @ kraus, d, dp, len(basis))
     h = 2.0 * fm.conj().T @ dfm.reshape(n, -1)
-    return _residual_vector(h, d, dp, *terms)
+    return _residual_vector(h, d, dp)
 
 
 def _curvature(
@@ -368,7 +347,7 @@ def _curvature(
     dfm = _kraus_columns(z @ kraus, d, dp)
     ddfm = _kraus_columns(-w @ (z.conj().T @ z) @ kraus, d, dp)
     h = 2.0 * (fm.conj().T @ ddfm + dfm.conj().T @ dfm)
-    return _residual_vector(h, d, dp, *_residual_terms(d * dp))
+    return _residual_vector(h, d, dp)[:, 0]
 
 
 def _decode_point(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):

@@ -153,10 +153,34 @@ class TestEigHermitian:
     def test_phase_convention(self):
         rng = np.random.default_rng(7)
         m = random_hermitian(5, rng)
-        _, v = eig_hermitian(m)
-        for col in v.T:
-            lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-            assert abs(lead.imag) < 1e-12 and lead.real > 0
+        # Zero first rows and columns give eigenvectors whose first entries
+        # are exactly zero, so their phase is fixed by a later entry.
+        sparse = np.zeros((5, 5), dtype=complex)
+        sparse[2:, 2:] = random_hermitian(3, rng)
+        for m in (m, sparse):
+            w, v = eig_hermitian(m)
+            np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, m, atol=1e-12)
+            for col in v.T:
+                lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+                assert abs(lead.imag) < 1e-12 and lead.real > 0
+        assert any(col[0] == 0 for col in eig_hermitian(sparse)[1].T)
+        w, v = eig_hermitian(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
+
+    def test_phase_matches_column_loop(self):
+        # The phase is fixed by one gather and one multiply; fixing it one
+        # column at a time is the reference, bit for bit, on spectra without
+        # degenerate blocks (whose reordering the loop leaves out).
+        rng = np.random.default_rng(17)
+        for n, zero in ((1, 0), (1, 1), (3, 0), (6, 0), (6, 1)):
+            m = random_hermitian(n, rng)
+            m[:zero], m[:, :zero] = 0, 0
+            v = np.linalg.eigh((m + m.conj().T) / 2)[1][:, ::-1].copy()
+            for j in range(n):
+                col = v[:, j]
+                lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+                v[:, j] = col * (lead.conj() / abs(lead))
+            assert np.array_equal(eig_hermitian(m)[1], v)
 
     def test_not_hermitian(self):
         with pytest.raises(ValueError, match="not hermitian"):

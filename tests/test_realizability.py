@@ -30,11 +30,12 @@ from envchan.realizability import (
     _curvature,
     _decode_point,
     _frame,
-    _jacobian_tables,
     _minimal_kraus_rows,
     _objective_and_grad,
     _polar,
     _residual,
+    _residual_terms,
+    _residual_vector,
     _retract,
     _tangent_basis,
     minimize,
@@ -258,7 +259,7 @@ class TestGradient:
         w = random_isometry(n, kappa, rng)
         fm = u_columns(w @ kraus, d, dp)
         columns = []
-        for step in _frame(w) @ _tangent_basis(n, kappa):
+        for step in _frame(w) @ _tangent_basis(n, kappa)[0]:
             dg = fm.conj().T @ u_columns(step @ kraus, d, dp)
             columns.append(residual_entries(centred(dg + dg.conj().T, d, dp)))
         jac = _objective_and_grad(w, kraus, d, dp)
@@ -271,7 +272,7 @@ class TestGradient:
         # them (W†dW anti-Hermitian); the retraction keeps an isometry.
         rng = np.random.default_rng([19, n, kappa])
         w = random_isometry(n, kappa, rng)
-        steps = _frame(w) @ _tangent_basis(n, kappa)
+        steps = _frame(w) @ _tangent_basis(n, kappa)[0]
         assert len(steps) == 2 * n * kappa - kappa * kappa
         flat = steps.reshape(len(steps), -1)
         gram = (flat.conj() @ flat.T).real
@@ -290,13 +291,38 @@ class TestGradient:
 
     @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (2, 3, 2)])
     def test_jacobian_tables_are_cached_and_read_only(self, d, dp, kappa):
-        tables = _jacobian_tables(d, dp, kappa)
-        assert _jacobian_tables(d, dp, kappa) is tables
-        assert _jacobian_tables(d, dp, kappa - 1) is not tables
-        for array in tables:
+        # The residual's entries for one block and for the Q blocks of J,
+        # and the tangent basis in both layouts, are built once per argument
+        # and shared, so no caller may write to them.
+        n = d * dp
+        basis, rows = tables = _tangent_basis(n, kappa)
+        assert _tangent_basis(n, kappa) is tables
+        assert _tangent_basis(n, kappa - 1) is not tables
+        assert basis.shape == (2 * n * kappa - kappa * kappa, n, kappa)
+        assert rows.shape == (n, len(basis) * kappa)
+        arrays = list(tables)
+        for blocks in (1, len(basis)):
+            terms = _residual_terms(n, blocks)
+            assert _residual_terms(n, blocks) is terms
+            assert _residual_terms(n + 1, blocks) is not terms
+            assert terms[0].shape == (n * n, blocks)
+            arrays += terms
+        for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array.flat[0] = 0
+
+    @pytest.mark.parametrize("d, dp, blocks", [(2, 2, 3), (3, 2, 5), (4, 4, 2)])
+    def test_side_by_side_blocks_match_single_blocks(self, d, dp, blocks):
+        # m matrices set side by side give, bit for bit, the columns of m
+        # single-matrix residuals: J's table is the one-block table spread.
+        rng = np.random.default_rng([23, d, dp, blocks])
+        n = d * dp
+        h = rng.normal(size=(n, blocks * n)) + 1j * rng.normal(size=(n, blocks * n))
+        single = [_residual_vector(h[:, q * n:(q + 1) * n], d, dp) for q in range(blocks)]
+        stacked = _residual_vector(h, d, dp)
+        assert stacked.shape == (n * n, blocks)
+        assert np.array_equal(stacked, np.column_stack(single))
 
 
 class TestCurvature:
