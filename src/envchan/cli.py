@@ -304,15 +304,11 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
         if args.command in _REPORT_COMMANDS:
-            payload = {
-                "format_version": io.FORMAT_VERSION,
-                "kind": "report",
-                "command": args.command,
-                "argv": list(argv),
-                "seed": getattr(args, "seed", None),
-                "duration_seconds": perf_counter() - started,
-                "results": payload,
-            }
+            payload = io._envelope(
+                "report", command=args.command, argv=list(argv),
+                seed=getattr(args, "seed", None),
+                duration_seconds=perf_counter() - started, results=payload,
+            )
         out = getattr(args, "out", None)
         if out is not None:
             io.save_json(payload, out)

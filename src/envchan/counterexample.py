@@ -240,17 +240,14 @@ def match_family(channel: Channel) -> tuple[CounterexampleParams, float] | None:
 
     The image of |0⟩⟨0| must have an eigenvalue within ``FAMILY_MATCH`` of 1;
     its eigenvector φ is the candidate common pure image and ρ' the image of
-    |d−1⟩⟨d−1|. :class:`CounterexampleParams` then checks ρ' (a density
-    matrix within 1e-12, truly mixed, with the d = 2 overlap), and the one
-    membership test is the Choi distance to the member rebuilt around
-    (φ, ρ'), at most ``FAMILY_MATCH``. That comparison covers every other
-    collapsed image and total decoherence: an image off by more than
-    ``FAMILY_MATCH`` puts the Choi distance above it.
-
-    ρ' is validated before the rebuild, so its eigenvalues sum to 1 within
-    1e-12 and the rebuilt member is trace preserving well within the 1e-10
-    Kraus check: a near-member is rejected by the checks above, never by an
-    error.
+    |d−1⟩⟨d−1|, divided by its trace. :class:`CounterexampleParams` then
+    checks ρ' (truly mixed, with the d = 2 overlap), and the one membership
+    test is the Choi distance to the member rebuilt around (φ, ρ'), at most
+    ``FAMILY_MATCH``, the file tolerance. That comparison covers every other
+    collapsed image, total decoherence and the trace of the image of
+    |d−1⟩⟨d−1|: an image off by more than ``FAMILY_MATCH`` puts the Choi
+    distance above it. The rebuilt member is trace preserving to rounding,
+    so a near-member is rejected by these checks, never by an error.
 
     Returns ``(params, choi_distance)``: ``params`` describe the channel
     after rotating φ to |0'⟩ (the family is closed under output rotations,
@@ -268,6 +265,7 @@ def match_family(channel: Channel) -> tuple[CounterexampleParams, float] | None:
         return None
     phi = vecs[:, 0]
     rho_mixed = apply(channel, projector(basis_state(d, d - 1)))
+    rho_mixed = rho_mixed / np.trace(rho_mixed).real
     rotation = complete_unitary(phi).conj().T  # sends phi to |0'>
     try:
         params = CounterexampleParams(d, d_fin, rotation @ rho_mixed @ rotation.conj().T)

@@ -5,10 +5,6 @@ written as nested lists of ``[re, im]`` pairs; floats use Python's shortest
 round-trip representation, so writing and re-reading is bit-exact.
 Validation of loaded objects uses a looser tolerance (1e-8) than internal
 construction, to absorb decimal round-trips of files produced elsewhere.
-That looser load does not carry over to ``certify FILE``: family
-membership needs the mixed image's trace to be 1 within 1e-12, so a member
-written with fewer than about 12 significant digits loads but is
-INCONCLUSIVE.
 """
 
 from __future__ import annotations
@@ -90,26 +86,23 @@ def _dimension(data: dict, key: str) -> int:
     return value
 
 
+def _envelope(kind: str, **fields) -> dict:
+    """The header every written file and report starts with, then ``fields``
+    in the order given."""
+    return {"format_version": FORMAT_VERSION, "kind": kind, **fields}
+
+
 def channel_to_dict(ch: Channel) -> dict:
     """ChannelFile payload: the Kraus representation."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "channel",
-        "d_in": ch.d_in,
-        "d_out": ch.d_out,
-        "kraus": [matrix_to_pairs(op) for op in ch.kraus.operators],
-    }
+    kraus = [matrix_to_pairs(op) for op in ch.kraus.operators]
+    return _envelope("channel", d_in=ch.d_in, d_out=ch.d_out, kraus=kraus)
 
 
 def choi_to_dict(ch: Channel) -> dict:
     """ChannelFile payload: the Choi representation."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "choi",
-        "d_in": ch.d_in,
-        "d_out": ch.d_out,
-        "choi": matrix_to_pairs(ch.choi.matrix),
-    }
+    return _envelope(
+        "choi", d_in=ch.d_in, d_out=ch.d_out, choi=matrix_to_pairs(ch.choi.matrix)
+    )
 
 
 def channel_from_dict(data: dict) -> Channel:
@@ -139,12 +132,7 @@ def channel_from_dict(data: dict) -> Channel:
 
 def state_to_dict(rho) -> dict:
     rho = np.asarray(rho, dtype=complex)
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "state",
-        "dim": rho.shape[0],
-        "matrix": matrix_to_pairs(rho),
-    }
+    return _envelope("state", dim=rho.shape[0], matrix=matrix_to_pairs(rho))
 
 
 def state_from_dict(data: dict) -> np.ndarray:
@@ -157,15 +145,10 @@ def state_from_dict(data: dict) -> np.ndarray:
 
 
 def dilation_to_dict(d: Dilation) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "dilation",
-        "d_in": d.d_in,
-        "d_fin": d.d_fin,
-        "d_env": d.d_env,
-        "unitary": matrix_to_pairs(d.unitary),
-        "env_state": matrix_to_pairs(d.env_state),
-    }
+    return _envelope(
+        "dilation", d_in=d.d_in, d_fin=d.d_fin, d_env=d.d_env,
+        unitary=matrix_to_pairs(d.unitary), env_state=matrix_to_pairs(d.env_state),
+    )
 
 
 def dilation_from_dict(data: dict) -> Dilation:

@@ -125,12 +125,9 @@ def eig_hermitian(m):
             continue
         if end - start > 1:
             block = v[:, start:end]
-            keys = [
-                tuple(np.column_stack([block[:, t].real, block[:, t].imag]).ravel())
-                for t in range(end - start)
-            ]
-            order = sorted(range(end - start), key=keys.__getitem__)
-            v[:, start:end] = block[:, order]
+            # Rows re₀, im₀, re₁, im₁, …; lexsort's primary key is its last.
+            keys = np.stack([block.real, block.imag], axis=1).reshape(-1, end - start)
+            v[:, start:end] = block[:, np.lexsort(keys[::-1])]
         start = end
     return w, v
 

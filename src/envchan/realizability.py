@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from statistics import median
 from typing import ClassVar
 
 import numpy as np
@@ -506,5 +505,5 @@ def perturbation_experiment(
         residual_min=float(min(residuals)),
         residual_max=float(max(residuals)),
         residual_mean=float(np.mean(residuals)),
-        residual_median=float(median(residuals)),
+        residual_median=float(np.median(residuals)),
     )

@@ -165,6 +165,8 @@ class TestApply:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             apply(identity_channel(2), np.eye(3) / 3)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            apply_from_choi(identity_channel(2).choi, np.eye(3) / 3)
 
 
 class TestMix:
@@ -204,6 +206,8 @@ class TestMix:
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             mix([identity_channel(2), identity_channel(3)], [0.5, 0.5])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mix([identity_channel(2)], [0.5, 0.5])
 
 
 class TestDistance:

@@ -98,6 +98,25 @@ class TestBuild:
         assert code == 2
         assert "dimensions must be at least 2" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--d", "3"), "--d, --d-fin and --rho-target are required"),
+            (("--d", "3", "--d-fin", "2"), "--d, --d-fin and --rho-target are required"),
+            (
+                ("--d", "3", "--d-fin", "2", "--rho-target", "0.5,x"),
+                "cannot parse --rho-target eigenvalue list",
+            ),
+        ],
+        ids=["d-only", "no-rho-target", "unparsable"],
+    )
+    @pytest.mark.parametrize("command", [("certify",), ("build", "counterexample")])
+    def test_rejects_incomplete_family_flags(self, capsys, command, flags, message):
+        code, out, err = run(capsys, *command, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("command", [("certify",), ("build", "counterexample")])
     def test_rejects_alpha_beta(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -320,19 +339,64 @@ class TestCertify:
         assert err == ""
         assert data["results"]["claim"] == "INCONCLUSIVE"
 
-    def test_near_member_file_is_inconclusive(self, capsys, tmp_path):
+    def test_file_off_trace_within_load_tolerance_is_certified(self, capsys, tmp_path):
         # Scaling the last Kraus operator by 1 + 4e-9 keeps the file within
-        # its 1e-8 load tolerance but puts tr(rho') 4e-9 above 1.
+        # its 1e-8 load tolerance but puts tr(rho') 4e-9 above 1. rho' is
+        # divided by its trace, so the one Choi comparison decides.
         member = build_counterexample(CounterexampleParams(3, 2, np.diag([0.5, 0.5])))
         ops = list(member.kraus.operators)
         ops[-1] = ops[-1] * (1 + 4e-9)
         path = tmp_path / "near.json"
         save_json(channel_to_dict(Channel(KrausSet(tuple(ops), atol=FILE))), path)
-        assert match_family(channel_from_dict(load_json(path))) is None
         code, data, err = run_json(capsys, "certify", str(path))
-        assert code == 3
+        assert code == 0
         assert err == ""
-        assert data["results"]["claim"] == "INCONCLUSIVE"
+        assert data["results"]["claim"] == "NOT_REALIZABLE"
+        assert data["results"]["membership"]["choi_distance"] <= 1e-8
+
+    def test_near_member_file_is_inconclusive(self, capsys, tmp_path):
+        # The member after the input rotation exp(iε·σ_x) on |0⟩, |d−1⟩ is
+        # exactly trace preserving, but it keeps coherences of order ε between
+        # |0⟩ and |d−1⟩, which put it more than 1e-8 from the rebuilt member.
+        d = 3
+        member = build_counterexample(CounterexampleParams(d, 2, np.diag([0.5, 0.5])))
+        for eps in (1e-5, 1e-6, 1e-7):
+            turn = np.eye(d, dtype=complex)
+            turn[[0, d - 1], [0, d - 1]] = np.cos(eps)
+            turn[[0, d - 1], [d - 1, 0]] = 1j * np.sin(eps)
+            near = Channel.from_kraus(op @ turn for op in member.kraus.operators)
+            path = tmp_path / "near.json"
+            save_json(channel_to_dict(near), path)
+            assert match_family(channel_from_dict(load_json(path))) is None
+            code, data, err = run_json(capsys, "certify", str(path))
+            assert code == 3
+            assert err == ""
+            assert data["results"]["claim"] == "INCONCLUSIVE"
+
+    @pytest.mark.parametrize(
+        "d, d_fin, seed", [(2, 2, 0), (3, 2, 2), (2, 3, 0), (3, 3, 0)]
+    )
+    def test_rounded_member_files_are_certified(self, capsys, tmp_path, d, d_fin, seed):
+        # An output-rotated member with every Kraus entry rounded to 10 or 8
+        # decimals is certified by its Choi distance alone. Rounding to 8
+        # decimals can put a file outside the 1e-8 load tolerance; these
+        # members' files load, which the test checks first.
+        rng = np.random.default_rng([d, d_fin, seed])
+        member = build_counterexample(
+            CounterexampleParams(d, d_fin, random_density_matrix(d_fin, rng))
+        )
+        g = rng.normal(size=(d_fin, d_fin)) + 1j * rng.normal(size=(d_fin, d_fin))
+        rotation = np.linalg.qr(g)[0]
+        data = channel_to_dict(Channel.from_kraus(rotation @ op for op in member.kraus.operators))
+        for decimals in (10, 8):
+            rounded = dict(data, kraus=np.round(data["kraus"], decimals).tolist())
+            channel_from_dict(rounded)
+            path = tmp_path / f"rounded-{decimals}.json"
+            save_json(rounded, path)
+            code, report, err = run_json(capsys, "certify", str(path))
+            assert (code, err) == (0, "")
+            assert report["results"]["claim"] == "NOT_REALIZABLE"
+            assert report["results"]["membership"]["choi_distance"] <= 1e-8
 
     @pytest.mark.parametrize(
         "flags",

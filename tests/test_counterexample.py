@@ -136,6 +136,14 @@ class TestBuildCounterexample:
             np.linalg.eigvalsh(ch.choi.matrix), [0.0, 0.5, 0.5, 1.0], atol=1e-12
         )
 
+    def test_zero_eigenvalue_is_cut(self):
+        # ρ' = diag(½, ½, 0) has a zero eigenvalue, which gives no Kraus
+        # operator: one collapse operator plus two, the Choi rank.
+        ch = build_counterexample(CounterexampleParams(2, 3, np.diag([0.5, 0.5, 0.0])))
+        assert len(ch.kraus) == 3
+        assert np.linalg.matrix_rank(ch.choi.matrix, tol=1e-10) == 3
+        assert match_family(ch) is not None
+
 
 class TestImplementingUnitary:
     def test_rejects_zero_coefficients(self):

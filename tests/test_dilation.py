@@ -84,6 +84,8 @@ class TestChannelFromDilation:
     def test_rejects_wrong_env_shape(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             Dilation(2, 2, 0, np.eye(4), maximally_mixed(4))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Dilation(0, 2, 0, np.eye(2), maximally_mixed(2))
 
     @pytest.mark.parametrize("dim", [2.0, True])
     def test_rejects_non_integer_dimensions(self, dim):

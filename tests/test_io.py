@@ -266,6 +266,8 @@ def test_load_rejects_non_object(tmp_path):
     path.write_text("[1, 2, 3]\n", encoding="utf-8")
     with pytest.raises(ValueError, match="malformed file"):
         load_json(path)
+    with pytest.raises(ValueError, match="malformed file"):
+        channel_from_dict([1])
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from envchan import (
+    CounterexampleParams,
     basis_state,
+    build_counterexample,
     complete_unitary,
     eig_hermitian,
     implementing_unitary,
@@ -16,6 +18,7 @@ from envchan import (
     random_density_matrix,
     random_pure_state,
 )
+from envchan.linalg import as_complex_matrix
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -182,6 +185,34 @@ class TestEigHermitian:
                 v[:, j] = col * (lead.conj() / abs(lead))
             assert np.array_equal(eig_hermitian(m)[1], v)
 
+    def test_block_order_matches_tuple_sort(self):
+        # Each degenerate block is ordered by one lexsort; sorting the
+        # columns by tuples of their interleaved (re, im) entries, block by
+        # block from each block's first eigenvalue, is the reference, bit
+        # for bit. The (3,2) member's Choi matrix has blocks at 1, ½ and 0,
+        # and eigh's columns there are out of order.
+        choi = build_counterexample(CounterexampleParams(3, 2, np.diag([0.5, 0.5]))).choi.matrix
+        reordered = False
+        for m in (np.eye(2), np.diag([0.5, 0.5]), choi):
+            w, v = np.linalg.eigh(m)
+            w, v = w[::-1], v[:, ::-1].copy()
+            for j in range(len(w)):
+                col = v[:, j]
+                lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+                v[:, j] = col * (lead.conj() / abs(lead))
+            expected = v.copy()
+            start = 0
+            for end in range(1, len(w) + 1):
+                if end < len(w) and abs(w[end] - w[start]) <= 1e-12:
+                    continue
+                block = v[:, start:end]
+                keys = [tuple(np.column_stack([c.real, c.imag]).ravel()) for c in block.T]
+                expected[:, start:end] = block[:, sorted(range(end - start), key=keys.__getitem__)]
+                start = end
+            assert np.array_equal(eig_hermitian(m)[1], expected)
+            reordered |= not np.array_equal(expected, v)
+        assert reordered
+
     def test_not_hermitian(self):
         with pytest.raises(ValueError, match="not hermitian"):
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -217,6 +248,21 @@ def test_hermitian_predicate():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
     assert is_unitary(X)
     assert not is_unitary(2 * X)
+    assert not is_unitary(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: as_complex_matrix(np.ones(3)),
+        lambda: eig_hermitian(np.ones((2, 3))),
+        lambda: complete_unitary(np.eye(2, 3)),
+    ],
+    ids=["as_complex_matrix-vector", "eig_hermitian-non-square", "complete_unitary-wide"],
+)
+def test_rejects_mismatched_shapes(call):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,8 @@ class TestValidation:
         assert v.dtype == complex
         with pytest.raises(ValueError, match="not normalized"):
             validate_pure_state([1.0, 1.0])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            validate_pure_state(np.eye(2))
 
 
 class TestPurity:
