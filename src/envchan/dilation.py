@@ -122,10 +122,14 @@ def _env_components(d: Dilation):
     environment eigenvector.
     """
     weights, vectors = eig_hermitian(d.env_state)
+    inputs = np.arange(d.d_in)
     for p, vec in zip(weights, vectors.T):
         if p <= ENV_SPECTRUM_CUTOFF:
             continue
-        columns = d.unitary @ np.kron(np.eye(d.d_in), vec[:, None])
+        # I ⊗ vec: column i holds vec in the rows (i, ·), zeros elsewhere.
+        lift = np.zeros((d.d_in, d.env_side, d.d_in), dtype=complex)
+        lift[inputs, :, inputs] = vec
+        columns = d.unitary @ lift.reshape(-1, d.d_in)
         yield p, vec, _choi_from_vecs(_kraus_rows(columns, d.d_in, d.d_fin))
 
 

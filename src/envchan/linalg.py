@@ -21,7 +21,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError("shape mismatch")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -36,7 +36,7 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT) -> bool:
     transpose in every entry."""
     m = np.asarray(m)
     return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.max(np.abs(m - m.conj().T), initial=0.0) <= atol
+        np.abs(m - m.conj().T).max(initial=0.0) <= atol
     )
 
 
@@ -47,7 +47,7 @@ def is_unitary(m: np.ndarray, atol: float = UNITARY) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m @ m.conj().T - eye)) <= atol)
+    return bool(np.abs(m @ m.conj().T - eye).max() <= atol)
 
 
 def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
@@ -163,7 +163,7 @@ def complete_unitary(columns) -> np.ndarray:
     if k > n:
         raise ValueError("shape mismatch")
     gram = q.conj().T @ q
-    if np.max(np.abs(gram - np.eye(k)), initial=0.0) > UNITARY:
+    if np.abs(gram - np.eye(k)).max(initial=0.0) > UNITARY:
         raise ValueError("columns not orthonormal")
     u = _frame(q)
     if not is_unitary(u):

@@ -17,9 +17,10 @@ multi-restarted from seeded random isometries. Steps dW = [W, W⊥]·C are
 taken in a chart centred at W and retracted to polar(W + dW) (Absil,
 Mahony & Sepulchre 2008, ch. 4); F = W·E is linear in W, so the Jacobian
 is plain linear algebra. Every point costs one residual, which an accepted
-step keeps; the Jacobian is built at the start point and at accepted points
-that do not end the restart. Once ‖R‖² < 1e-2, each step adds half the
-geodesic acceleration along the retraction (Transtrum & Sethna 2012), so
+step keeps with its Kraus columns for the Jacobian and the curvature; the
+Jacobian is built at the start point and at accepted points that do not
+end the restart. Once ‖R‖² < 1e-2, each step adds half the geodesic
+acceleration along the retraction (Transtrum & Sethna 2012), so
 the iterates follow the curved valley around a zero residual instead of
 zigzagging across it, and a realizable target needs tens of steps, not
 hundreds. A restart stops once a step lowers ‖R‖² by at most 1e-4 of
@@ -33,6 +34,7 @@ search, never a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import ClassVar
@@ -82,11 +84,13 @@ def minimize(
     jacobian, x0, args=(), *, residual, curvature, retract, options
 ) -> LeastSquaresResult:
     """Levenberg–Marquardt on ‖r(x)‖², with geodesic acceleration near a
-    zero residual: ``residual(x, *args)`` returns the real residual vector r
-    at x, ``jacobian(x, *args)`` only its Jacobian J over real step
-    coordinates, ``curvature(x, δ, *args)`` the second derivative r_δδ of r
-    along t ↦ ``retract(x, t·δ)`` at t = 0, and ``retract(x, δ)`` the point
-    a step δ leads to (``np.add`` on ℝⁿ).
+    zero residual: ``residual(x, *args)`` returns (r, state), the real
+    residual vector r at x and what the other callbacks reuse of the point
+    (the search's Kraus columns Fm; ``None`` if nothing), ``jacobian(x,
+    state, *args)`` only r's Jacobian J over real step coordinates,
+    ``curvature(x, state, δ, *args)`` the second derivative r_δδ of r along
+    t ↦ ``retract(x, t·δ)`` at t = 0, and ``retract(x, δ)`` the point a
+    step δ leads to (``np.add`` on ℝⁿ).
 
     Each trial step solves (JᵀJ + μI)v = −Jᵀr. Once ‖r‖² <
     ``_ACCELERATE_BELOW``, it also solves (JᵀJ + μI)a = −Jᵀr_vv with the same
@@ -95,49 +99,51 @@ def minimize(
     Levenberg–Marquardt algorithm for nonlinear least-squares
     minimization"). A trial is accepted when it lowers ‖r‖²; the gain ratio
     and the stop rules measure v alone. Every point costs one ``residual``
-    and an accepted trial keeps its r, so ``jacobian`` returns J only and
-    runs only at the start point and at accepted points that do not end the
-    run. The damping μ starts at 1e-3·max diag(JᵀJ) and follows Nielsen's
-    update (Nielsen 1999, "Damping parameter in Marquardt's method").
+    and an accepted trial keeps its r and state, so ``jacobian`` returns J
+    only and runs only at the start point and at accepted points that do
+    not end the run. The damping μ starts at 1e-3·max diag(JᵀJ) and
+    follows Nielsen's update (Nielsen 1999, "Damping parameter in
+    Marquardt's method").
     ``options["maxiter"]`` caps the trial steps. Deterministic: the same
     input gives the same iterates. The search calls this module-level name,
     so it stays rebindable for tracing and tests; the benchmark traces it
     under this name, with this ``options`` keyword.
     """
     x, maxiter = x0, options["maxiter"]
-    r, jac = residual(x, *args), jacobian(x, *args)
-    cost, nfev, nit = r @ r, 1, 0
-    mu, nu = 1e-3 * np.max(np.sum(jac * jac, axis=0)), 2.0
-    x_norm = np.linalg.norm(x)
+    r, state = residual(x, *args)
+    jac = jacobian(x, state, *args)
+    cost, nfev, nit = float(r @ r), 1, 0
+    mu, nu = 1e-3 * float((jac * jac).sum(axis=0).max()), 2.0
+    x_norm = float(np.linalg.norm(x))
     converged = cost == 0
     while not converged and nit < maxiter:
         grad = jac.T @ r
         gram = jac.T @ jac
         gram.flat[:: len(gram) + 1] += mu
         step = -np.linalg.solve(gram, grad)
-        step_norm = np.sqrt(step @ step)
+        step_norm = math.sqrt(step @ step)
         if step_norm <= _STEP_STOP * x_norm:
             converged = True
             break
         nit += 1
         move = step
         if cost < _ACCELERATE_BELOW:
-            accel = -np.linalg.solve(gram, jac.T @ curvature(x, step, *args))
-            if 2.0 * np.sqrt(accel @ accel) <= _ACCELERATION_RATIO * step_norm:
+            accel = -np.linalg.solve(gram, jac.T @ curvature(x, state, step, *args))
+            if 2.0 * math.sqrt(accel @ accel) <= _ACCELERATION_RATIO * step_norm:
                 move = step + 0.5 * accel
         trial = retract(x, move)
-        trial_r = residual(trial, *args)
+        trial_r, trial_state = residual(trial, *args)
         nfev += 1
-        trial_cost = trial_r @ trial_r
+        trial_cost = float(trial_r @ trial_r)
         # Gain ratio: actual decrease of ‖r‖² over the decrease the
         # linear model predicts for v, vᵀ(μv − Jᵀr).
-        rho = (cost - trial_cost) / (step @ (mu * step - grad))
+        rho = (cost - trial_cost) / float(step @ (mu * step - grad))
         if rho > 0:
             converged = cost - trial_cost <= _DECREASE_STOP * cost
-            x, r, cost = trial, trial_r, trial_cost
-            x_norm = np.linalg.norm(x)
+            x, r, state, cost = trial, trial_r, trial_state, trial_cost
+            x_norm = float(np.linalg.norm(x))
             if not converged and nit < maxiter:
-                jac = jacobian(x, *args)
+                jac = jacobian(x, state, *args)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
         else:
@@ -303,23 +309,24 @@ def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     return _polar(w + _tangent(w, step))
 
 
-def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int) -> np.ndarray:
-    """The residual r of R = G − I_d ⊗ diag(p) at the n×κ isometry w: G =
-    Fm†Fm for Fm the Kraus set F = w·E (``kraus`` holds the rows vec(E_j))
-    in U's layout, p = ``_spectrum(G)``. ‖r‖² is zero exactly when Fm's
-    columns, scaled by 1/√p_s, are orthonormal: then they are columns of a
-    unitary that realizes the target with spectrum p."""
+def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+    """(r, Fm): the residual r of R = G − I_d ⊗ diag(p) at the n×κ isometry
+    w, and the point's state for ``minimize``: G = Fm†Fm for Fm the Kraus
+    set F = w·E (``kraus`` holds the rows vec(E_j)) in U's layout, p =
+    ``_spectrum(G)``. ‖r‖² is zero exactly when Fm's columns, scaled by
+    1/√p_s, are orthonormal: then they are columns of a unitary that
+    realizes the target with spectrum p."""
     fm = _kraus_columns(w @ kraus, d, dp)
-    return _residual_vector(fm.conj().T @ fm, d, dp)[:, 0]
+    return _residual_vector(fm.conj().T @ fm, d, dp)[:, 0], fm
 
 
-def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+def _objective_and_grad(w: np.ndarray, fm: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     """The exact Jacobian J of ``_residual`` at w, its derivative along each
     dW_q = V·C_q of ``_tangent_basis``, which is also its derivative
-    through ``_retract``. J only: ``minimize`` keeps r from ``_residual``.
-    The name is kept because the benchmark traces it."""
+    through ``_retract``; ``fm`` is w's Fm from ``_residual``. J only:
+    ``minimize`` keeps r from ``_residual``. The name is kept because the
+    benchmark traces it."""
     n, kappa = w.shape
-    fm = _kraus_columns(w @ kraus, d, dp)
     # F = W·E is linear in W, so dF_q = V·C_q·E and dG_q = Fm†dFm_q + h.c.
     # (V·[C_0 … C_{Q−1}]).reshape(nQ, κ)·E holds the Kraus rows (t, a, q) of
     # every dF_q, q in the environment slot, so ``_kraus_columns`` lays them
@@ -331,10 +338,11 @@ def _objective_and_grad(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
 
 
 def _curvature(
-    w: np.ndarray, step: np.ndarray, kraus: np.ndarray, d: int, dp: int
+    w: np.ndarray, fm: np.ndarray, step: np.ndarray, kraus: np.ndarray, d: int, dp: int
 ) -> np.ndarray:
     """r_vv: the second derivative of ``_residual`` along the retraction
-    curve t ↦ polar(W + tZ) at t = 0, for Z = ``_tangent(w, step)``.
+    curve t ↦ polar(W + tZ) at t = 0, for Z = ``_tangent(w, step)`` and
+    ``fm`` w's Fm from ``_residual``.
 
     W†Z is anti-Hermitian, so (W + tZ)†(W + tZ) = I + t²Z†Z and the curve is
     W + tZ − (t²/2)·W·Z†Z + O(t³): W' = Z and W'' = −W·Z†Z. F = W·E is
@@ -342,7 +350,6 @@ def _curvature(
     2·Fm'†Fm' + Fm†Fm'' + h.c. is the Hermitian part of 2·Fm†Fm'' +
     2·Fm'†Fm', whose residual entries are r_vv."""
     z = _tangent(w, step)
-    fm = _kraus_columns(w @ kraus, d, dp)
     dfm = _kraus_columns(z @ kraus, d, dp)
     ddfm = _kraus_columns(-w @ (z.conj().T @ z) @ kraus, d, dp)
     h = 2.0 * (fm.conj().T @ ddfm + dfm.conj().T @ dfm)

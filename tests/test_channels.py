@@ -21,6 +21,8 @@ from envchan import (
     validate_density_matrix,
 )
 from envchan.channels import apply_from_choi
+from envchan.linalg import partial_trace
+from envchan.tolerances import CHANNEL
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 S = 1 / np.sqrt(2)
@@ -53,6 +55,49 @@ class TestKrausSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="nonempty"):
             KrausSet(())
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 2), (3, 2), (2, 3)])
+    def test_trace_check_matches_operator_sum(self, d_in, d_out):
+        # The check forms Σᵢ Eᵢ†Eᵢ as one product of the stacked operators,
+        # which sums in another order than the loop over the operators kept
+        # here as the reference. Scaled just inside and just outside the
+        # tolerance, a set must be decided as the reference decides.
+        ops = random_channel(d_in, d_out, np.random.default_rng([25, d_in, d_out])).kraus.operators
+        outside = []
+        for factor in (1 + 0.5 * CHANNEL, 1 + 2 * CHANNEL):
+            scaled = tuple(np.sqrt(factor) * op for op in ops)
+            total = sum(op.conj().T @ op for op in scaled)
+            outside.append(np.abs(total - np.eye(d_in)).max() > CHANNEL)
+            if outside[-1]:
+                with pytest.raises(ValueError, match="not trace preserving"):
+                    KrausSet(scaled)
+            else:
+                KrausSet(scaled)
+        assert outside == [False, True]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 0), (0, 2)])
+    def test_rejects_zero_dimension(self, shape):
+        # A zero dimension is a shape error, reported before numpy's
+        # zero-size reduction error or the trace-preservation check.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            KrausSet((np.zeros(shape),))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Channel.from_kraus([np.zeros(shape)])
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (np.eye(2), np.full((3, 3), np.nan)),
+            (np.array([[np.inf, 0.0]]), np.eye(2)),
+            (np.eye(2), np.full((3, 3), complex(0.0, -np.inf))),
+        ],
+        ids=["nan-second", "inf-first", "imaginary-inf"],
+    )
+    def test_non_finite_entry_is_named_before_shapes(self, ops):
+        # Each operator is checked on its own before the set's shapes are
+        # compared or the operators stacked.
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            KrausSet(ops)
 
     def test_operators_are_read_only(self):
         k = identity_channel(2).kraus
@@ -109,6 +154,28 @@ class TestChoiValidation:
     def test_rejects_wrong_side(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             ChoiMatrix(2, 2, np.eye(3))
+
+    @pytest.mark.parametrize("d_in, d_out", [(2, 2), (3, 2), (2, 3)])
+    def test_trace_check_matches_partial_trace(self, d_in, d_out):
+        # The check reduces over the output factor by one reshape and
+        # np.trace; partial_trace, with its argument checks, is the
+        # reference, bit for bit. A non-unital channel scaled just inside
+        # and just outside the tolerance must be decided as the reference
+        # decides, which also fails a reduction over the input factor.
+        rng = np.random.default_rng([24, d_in, d_out])
+        m = random_channel(d_in, d_out, rng).choi.matrix
+        fast = np.trace(m.reshape(d_in, d_out, d_in, d_out), axis1=1, axis2=3)
+        assert np.array_equal(fast, partial_trace(m, [d_in, d_out], keep={0}))
+        outside = []
+        for scale in (1 + 0.5 * CHANNEL, 1 + 2 * CHANNEL):
+            reduced = partial_trace(scale * m, [d_in, d_out], keep={0})
+            outside.append(np.abs(reduced - np.eye(d_in)).max() > CHANNEL)
+            if outside[-1]:
+                with pytest.raises(ValueError, match="not trace preserving"):
+                    ChoiMatrix(d_in, d_out, scale * m)
+            else:
+                ChoiMatrix(d_in, d_out, scale * m)
+        assert outside == [False, True]
 
 
 class TestChoiToKraus:

@@ -20,7 +20,9 @@ from envchan import (
     random_density_matrix,
     stinespring_from_kraus,
 )
-from envchan.dilation import _kraus_columns, _kraus_rows
+from envchan.channels import _choi_from_vecs
+from envchan.dilation import _env_components, _kraus_columns, _kraus_rows
+from envchan.linalg import eig_hermitian
 
 
 def haar_unitary(n, rng):
@@ -135,6 +137,29 @@ class TestKrausLayout:
         for q, kraus_set in enumerate(rows.reshape(n, count, n).transpose(1, 0, 2)):
             np.testing.assert_array_equal(blocks[:, q], _kraus_columns(kraus_set, d, dp))
         np.testing.assert_array_equal(_kraus_rows(stacked, d, dp), rows)
+
+    @pytest.mark.parametrize(
+        "d_in, d_fin, d_env", [(2, 2, 0), (3, 2, 0), (2, 3, 0), (4, 4, 0), (2, 2, 4)]
+    )
+    def test_components_match_the_kron_lift(self, d_in, d_fin, d_env):
+        # A component's Kraus columns are U·(I ⊗ v), v an eigenvector of the
+        # environment state. The lift I ⊗ v is built without np.kron, and
+        # each component must equal, bit for bit, the one that np.kron's
+        # lift gives.
+        side = d_fin * max(d_env, 1)
+        rng = np.random.default_rng([24, d_in, d_fin, d_env])
+        dil = Dilation(
+            d_in=d_in, d_fin=d_fin, d_env=d_env,
+            unitary=haar_unitary(d_in * side, rng),
+            env_state=random_density_matrix(side, rng),
+        )
+        weights, vectors = eig_hermitian(dil.env_state)
+        components = list(_env_components(dil))
+        assert len(components) == side
+        for (p, vec, choi), weight, v in zip(components, weights, vectors.T):
+            columns = dil.unitary @ np.kron(np.eye(d_in), v[:, None])
+            assert p == weight and np.array_equal(vec, v)
+            assert np.array_equal(choi, _choi_from_vecs(_kraus_rows(columns, d_in, d_fin)))
 
 
 class TestStinespring:

@@ -265,6 +265,18 @@ def test_rejects_mismatched_shapes(call):
         call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_rejects_non_finite_part(bad, part):
+    # One np.isfinite over the complex entries sees a non-finite real part
+    # and a non-finite imaginary part alike.
+    m = np.ones((2, 3), dtype=complex)
+    m[1, 2] = complex(bad, 0.5) if part == "real" else complex(0.5, bad)
+    assert np.isfinite(getattr(m[1, 2], "imag" if part == "real" else "real"))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        as_complex_matrix(m)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -24,7 +24,7 @@ from envchan import (
     search_mixed_env_realization,
 )
 import envchan.realizability as realizability
-from envchan.dilation import _kraus_rows
+from envchan.dilation import _kraus_columns, _kraus_rows
 from envchan.linalg import complete_unitary
 from envchan.realizability import (
     _curvature,
@@ -193,7 +193,8 @@ def check_residual_and_jacobian(w, kraus, d, dp, eps=1e-6):
     central differences of the independent r along the retraction; returns
     ‖r‖²."""
     n, kappa = w.shape
-    residual, jac = _residual(w, kraus, d, dp), _objective_and_grad(w, kraus, d, dp)
+    residual, fm = _residual(w, kraus, d, dp)
+    jac = _objective_and_grad(w, fm, kraus, d, dp)
     expected = gram_residual(w, kraus, d, dp)
     np.testing.assert_allclose(residual, residual_entries(expected), atol=1e-12)
     norm = np.vdot(expected, expected).real
@@ -262,7 +263,7 @@ class TestGradient:
         for step in _frame(w) @ _tangent_basis(n, kappa)[0]:
             dg = fm.conj().T @ u_columns(step @ kraus, d, dp)
             columns.append(residual_entries(centred(dg + dg.conj().T, d, dp)))
-        jac = _objective_and_grad(w, kraus, d, dp)
+        jac = _objective_and_grad(w, _residual(w, kraus, d, dp)[1], kraus, d, dp)
         np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, kappa", [(4, 4), (4, 2), (9, 3), (6, 1)])
@@ -337,13 +338,37 @@ class TestCurvature:
         kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
         w = random_isometry(n, kappa, rng)
         step = rng.normal(size=2 * n * kappa - kappa * kappa)
+        residual, fm = _residual(w, kraus, d, dp)
         fd = (
-            _residual(_retract(w, h * step), kraus, d, dp)
-            - 2.0 * _residual(w, kraus, d, dp)
-            + _residual(_retract(w, -h * step), kraus, d, dp)
+            _residual(_retract(w, h * step), kraus, d, dp)[0]
+            - 2.0 * residual
+            + _residual(_retract(w, -h * step), kraus, d, dp)[0]
         ) / (h * h)
-        curvature = _curvature(w, step, kraus, d, dp)
+        curvature = _curvature(w, fm, step, kraus, d, dp)
         assert np.linalg.norm(curvature - fd) <= 1e-5 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (4, 4, 16)])
+    def test_point_state_matches_fresh_kraus_columns(self, d, dp, kappa):
+        # ``minimize`` hands J and the curvature the Fm that ``_residual``
+        # built at the same point. The reference is that Fm built afresh,
+        # ``_kraus_columns(w @ kraus, d, dp)``: given either, J and the
+        # curvature must give the same bits.
+        rng = np.random.default_rng([24, d, dp, kappa])
+        n = d * dp
+        kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
+        w = random_isometry(n, kappa, rng)
+        step = rng.normal(size=2 * n * kappa - kappa * kappa)
+        residual, fm = _residual(w, kraus, d, dp)
+        fresh = _kraus_columns(w @ kraus, d, dp)
+        assert np.array_equal(fm, fresh)
+        assert np.array_equal(residual, _residual_vector(fresh.conj().T @ fresh, d, dp)[:, 0])
+        assert np.array_equal(
+            _objective_and_grad(w, fm, kraus, d, dp),
+            _objective_and_grad(w, fresh, kraus, d, dp),
+        )
+        assert np.array_equal(
+            _curvature(w, fm, step, kraus, d, dp), _curvature(w, fresh, step, kraus, d, dp)
+        )
 
 
 class TestDecode:
@@ -355,7 +380,8 @@ class TestDecode:
         rng = np.random.default_rng([17, d, dp])
         spectrum = rng.dirichlet(np.ones(dp))
         target, kraus, w = realizable_point(d, dp, spectrum, rng)
-        residual, jac = _residual(w, kraus, d, dp), _objective_and_grad(w, kraus, d, dp)
+        residual, fm = _residual(w, kraus, d, dp)
+        jac = _objective_and_grad(w, fm, kraus, d, dp)
         assert residual @ residual < 1e-26
         assert np.linalg.norm(jac.T @ residual) < 1e-12
         unitary, decoded = _decode_point(w, kraus, d, dp)
@@ -393,16 +419,16 @@ class TestDecode:
 
 def rosenbrock(x):
     """Rosenbrock's function as residuals (10(x₂ − x₁²), 1 − x₁), zero at
-    (1, 1)."""
-    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+    (1, 1), with no state for the other callbacks."""
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]), None
 
 
-def rosenbrock_jacobian(x):
+def rosenbrock_jacobian(x, state):
     """The Jacobian of ``rosenbrock``."""
     return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
 
-def rosenbrock_curvature(x, v):
+def rosenbrock_curvature(x, state, v):
     """The second derivative of ``rosenbrock`` along x + t·v."""
     return np.array([-20.0 * v[0] ** 2, 0.0])
 
@@ -444,15 +470,15 @@ class TestMinimize:
         t = np.array([0.0, 1.0, 2.0])
 
         def line(x, shift):
-            return x[0] + x[1] * t - (np.array([1.0, 2.0, 4.0]) + shift)
+            return x[0] + x[1] * t - (np.array([1.0, 2.0, 4.0]) + shift), None
 
         x0 = np.zeros(2)
         res = minimize(
-            lambda x, shift: np.stack([np.ones(3), t], axis=1),
+            lambda x, state, shift: np.stack([np.ones(3), t], axis=1),
             x0,
             args=(1.0,),
             residual=line,
-            curvature=lambda x, v, shift: np.zeros(3),
+            curvature=lambda x, state, v, shift: np.zeros(3),
             retract=np.add,
             options={"maxiter": 100},
         )
@@ -590,20 +616,22 @@ class TestSearch:
         objective, residual = realizability._objective_and_grad, realizability._residual
         curvature, minimize = realizability._curvature, realizability.minimize
 
-        def counted_objective(*args):
-            r = residual(*args)
+        def counted_objective(w, fm, *args):
+            r, own = residual(w, *args)
+            assert np.array_equal(fm, own)  # the state of this point
             calls.append(("jacobian", r @ r))
-            return objective(*args)
+            return objective(w, fm, *args)
 
-        def counted_curvature(w, step, *args):
-            r = residual(w, *args)
+        def counted_curvature(w, fm, step, *args):
+            r, own = residual(w, *args)
+            assert np.array_equal(fm, own)
             calls.append(("curvature", r @ r))
-            return curvature(w, step, *args)
+            return curvature(w, fm, step, *args)
 
         def counted_residual(*args):
-            r = residual(*args)
+            r, fm = residual(*args)
             calls.append(("residual", r @ r))
-            return r
+            return r, fm
 
         def kept_minimize(*args, **kwargs):
             results.append(minimize(*args, **kwargs))
