@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    _is_integer, as_complex_matrix, eig_hermitian, is_hermitian, partial_trace,
+    _check_integers, _within, as_complex_matrix, eig_hermitian, is_hermitian,
+    partial_trace,
 )
 from .tolerances import CHANNEL, DISTRIBUTION, EXTREMAL_RANK, KRAUS_RANK_CUTOFF
 
@@ -70,7 +71,7 @@ class KrausSet:
         # Σᵢ Eᵢ†Eᵢ = A†A for A the operators stacked on top of each other.
         stacked = np.concatenate(ops)
         total = stacked.conj().T @ stacked
-        if np.abs(total - np.eye(shape[1])).max() > self.atol:
+        if not _within(total, np.eye(shape[1]), self.atol):
             raise ValueError("not trace preserving")
         object.__setattr__(self, "operators", ops)
 
@@ -106,19 +107,16 @@ class ChoiMatrix:
     atol: float = CHANNEL
 
     def __post_init__(self):
-        if not all(_is_integer(n) and n >= 1 for n in (self.d_in, self.d_out)):
-            raise ValueError("shape mismatch")
-        m = as_complex_matrix(self.matrix)
+        _check_integers("shape mismatch", self.d_in, self.d_out)
         side = self.d_in * self.d_out
-        if m.shape != (side, side):
-            raise ValueError("shape mismatch")
+        m = as_complex_matrix(self.matrix, (side, side))
         if not is_hermitian(m, self.atol):
             raise ValueError("not completely positive")
         if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -self.atol:
             raise ValueError("not completely positive")
         # partial_trace(m, [d_in, d_out], keep={0}), without its checks.
         reduced = np.trace(m.reshape((self.d_in, self.d_out) * 2), axis1=1, axis2=3)
-        if np.abs(reduced - np.eye(self.d_in)).max() > self.atol:
+        if not _within(reduced, np.eye(self.d_in), self.atol):
             raise ValueError("not trace preserving")
         object.__setattr__(self, "matrix", _frozen_copy(m))
 
@@ -185,9 +183,7 @@ def apply(ch: Channel, rho) -> np.ndarray:
     Raises:
         ValueError: "shape mismatch" if ρ is not d_in × d_in.
     """
-    rho = as_complex_matrix(rho)
-    if rho.shape != (ch.d_in, ch.d_in):
-        raise ValueError("shape mismatch")
+    rho = as_complex_matrix(rho, (ch.d_in, ch.d_in))
     out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
     for op in ch.kraus.operators:
         out += op @ rho @ op.conj().T
@@ -200,9 +196,7 @@ def apply_from_choi(choi: ChoiMatrix, rho) -> np.ndarray:
     Nothing in the package calls this; it is kept on purpose as a reference
     independent of the Kraus path, against which :func:`apply` is tested.
     """
-    rho = as_complex_matrix(rho)
-    if rho.shape != (choi.d_in, choi.d_in):
-        raise ValueError("shape mismatch")
+    rho = as_complex_matrix(rho, (choi.d_in, choi.d_in))
     lifted = np.kron(rho.T, np.eye(choi.d_out)) @ choi.matrix
     return partial_trace(lifted, [choi.d_in, choi.d_out], keep={1})
 
@@ -275,11 +269,11 @@ def random_channel(
             integers ≥ 1; "kraus rank too small" if the rank is not an
             integer or cannot give an isometry.
     """
-    if not all(_is_integer(n) and n >= 1 for n in (d_in, d_out)):
-        raise ValueError("dimensions must be positive")
+    _check_integers("dimensions must be positive", d_in, d_out)
     if kraus_rank is None:
         kraus_rank = d_in * d_out
-    if not _is_integer(kraus_rank) or kraus_rank < 1 or d_out * kraus_rank < d_in:
+    _check_integers("kraus rank too small", kraus_rank)
+    if d_out * kraus_rank < d_in:
         raise ValueError("kraus rank too small")
     g = rng.normal(size=(d_out * kraus_rank, d_in)) + 1j * rng.normal(
         size=(d_out * kraus_rank, d_in)

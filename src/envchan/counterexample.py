@@ -23,7 +23,9 @@ import numpy as np
 
 from .channels import Channel, _frozen_copy, apply, distance
 from .dilation import Dilation
-from .linalg import _is_integer, as_complex_matrix, complete_unitary, eig_hermitian
+from .linalg import (
+    _check_integers, _is_integer, as_complex_matrix, complete_unitary, eig_hermitian,
+)
 from .states import basis_state, is_pure, projector, purity, validate_density_matrix
 from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
 
@@ -64,9 +66,7 @@ class CounterexampleParams:
             raise ValueError("dimensions must be at least 2")
         # The shape comes first: it is checked without the spectrum, whose
         # cost grows with the cube of the matrix size.
-        rho = as_complex_matrix(self.rho_target)
-        if rho.shape != (self.d_fin, self.d_fin):
-            raise ValueError("shape mismatch")
+        rho = as_complex_matrix(self.rho_target, (self.d_fin, self.d_fin))
         rho = _frozen_copy(validate_density_matrix(rho))
         object.__setattr__(self, "rho_target", rho)
         if is_pure(rho):
@@ -126,8 +126,7 @@ def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> D
             "coefficients must be normalized" unless |α|² + |β|² = 1 within
             1e-12.
     """
-    if not all(_is_integer(n) and n >= 2 for n in (d, d_fin)):
-        raise ValueError("dimensions must be at least 2")
+    _check_integers("dimensions must be at least 2", d, d_fin, least=2)
     alpha = complex(alpha)
     beta = complex(beta)
     if alpha == 0 or beta == 0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import Channel, ChoiMatrix, KrausSet, _choi_from_vecs, _frozen_copy, _vec
 from .linalg import (
-    _is_integer, as_complex_matrix, complete_unitary, eig_hermitian, is_unitary,
+    _check_integers, as_complex_matrix, complete_unitary, eig_hermitian, is_unitary,
 )
 from .states import basis_state, projector, validate_density_matrix
 from .tolerances import CHANNEL, DENSITY_MATRIX, ENV_SPECTRUM_CUTOFF, UNITARY
@@ -63,14 +63,10 @@ class Dilation:
     atol: float = DENSITY_MATRIX
 
     def __post_init__(self):
-        if not all(_is_integer(n) for n in (self.d_in, self.d_fin, self.d_env)):
-            raise ValueError("shape mismatch")
-        if self.d_in < 1 or self.d_fin < 1 or self.d_env < 0:
-            raise ValueError("shape mismatch")
+        _check_integers("shape mismatch", self.d_in, self.d_fin)
+        _check_integers("shape mismatch", self.d_env, least=0)
         side = self.d_in * self.env_side
-        u = _frozen_copy(as_complex_matrix(self.unitary))
-        if u.shape != (side, side):
-            raise ValueError("shape mismatch")
+        u = _frozen_copy(as_complex_matrix(self.unitary, (side, side)))
         if not is_unitary(u, max(self.atol, UNITARY)):
             raise ValueError("not unitary")
         env = _frozen_copy(validate_density_matrix(self.env_state, atol=self.atol))

@@ -1,5 +1,6 @@
-"""Dense complex linear algebra helpers: partial traces, deterministic
-Hermitian eigendecompositions, and unitary completion.
+"""Dense complex linear algebra helpers (partial traces, deterministic
+Hermitian eigendecompositions, unitary completion) and the one statement
+of each input rule: matrix shape, integer sizes, entrywise tolerance.
 
 All functions take and return plain numpy arrays. Composite subsystems are
 ordered [initial, final, environment] throughout the package.
@@ -16,13 +17,15 @@ import numpy as np
 from .tolerances import HERMITIAN_INPUT, UNITARY
 
 
-def as_complex_matrix(m) -> np.ndarray:
-    """Coerce ``m`` to a 2-D complex ndarray, rejecting non-finite entries."""
+def as_complex_matrix(m, shape=None) -> np.ndarray:
+    """Coerce ``m`` to a finite 2-D complex ndarray, of ``shape`` if one is given."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError("shape mismatch")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
+    if shape is not None and a.shape != shape:
+        raise ValueError("shape mismatch")
     return a
 
 
@@ -31,23 +34,31 @@ def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _check_integers(message: str, *values, least: int = 1) -> None:
+    """Raise ``ValueError(message)`` unless each value is an integer ≥ ``least``."""
+    if not all(_is_integer(v) and v >= least for v in values):
+        raise ValueError(message)
+
+
+def _within(a, b, atol: float) -> bool:
+    """Whether ``a`` and ``b`` agree within ``atol`` in every entry; a NaN
+    never does, and empty arrays always do."""
+    return bool(np.abs(a - b).max(initial=0.0) <= atol)
+
+
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT) -> bool:
     """Whether ``m`` is square and within ``atol`` of its conjugate
     transpose in every entry."""
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.abs(m - m.conj().T).max(initial=0.0) <= atol
-    )
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and _within(m, m.conj().T, atol)
 
 
 def is_unitary(m: np.ndarray, atol: float = UNITARY) -> bool:
     """Whether ``m`` is square and U·U† is within ``atol`` of I in every
     entry."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    eye = np.eye(m.shape[0])
-    return bool(np.abs(m @ m.conj().T - eye).max() <= atol)
+    square = m.ndim == 2 and m.shape[0] == m.shape[1]
+    return square and _within(m @ m.conj().T, np.eye(len(m)), atol)
 
 
 def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
@@ -70,8 +81,9 @@ def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
     """
     m = as_complex_matrix(m)
     dims = tuple(dims)
-    if not dims or not all(_is_integer(d) and d >= 1 for d in dims):
+    if not dims:
         raise ValueError("shape mismatch")
+    _check_integers("shape mismatch", *dims)
     side = math.prod(dims)
     if m.shape != (side, side):
         raise ValueError("shape mismatch")
@@ -163,7 +175,7 @@ def complete_unitary(columns) -> np.ndarray:
     if k > n:
         raise ValueError("shape mismatch")
     gram = q.conj().T @ q
-    if np.abs(gram - np.eye(k)).max(initial=0.0) > UNITARY:
+    if not _within(gram, np.eye(k), UNITARY):
         raise ValueError("columns not orthonormal")
     u = _frame(q)
     if not is_unitary(u):

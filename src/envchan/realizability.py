@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
 from .dilation import Dilation, _kraus_columns, channel_from_dilation
-from .linalg import _frame, _is_integer
+from .linalg import _check_integers, _frame, _is_integer
 from .tolerances import ENV_SPECTRUM_CUTOFF
 
 REALIZED = "REALIZED"
@@ -174,8 +174,7 @@ def parameter_count(d: int, d_fin: int) -> int:
         ValueError: "dimensions must be positive" unless d and d_fin are
             integers ≥ 1.
     """
-    if not all(_is_integer(n) and n >= 1 for n in (d, d_fin)):
-        raise ValueError("dimensions must be positive")
+    _check_integers("dimensions must be positive", d, d_fin)
     return d * d * (d_fin * d_fin - 1)
 
 
@@ -201,8 +200,7 @@ class SearchConfig:
     def __post_init__(self):
         _check_count("restarts", self.restarts)
         _check_count("max_iters", self.max_iters)
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        _check_integers("seed must be a non-negative integer", self.seed, least=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _is_integer, as_complex_matrix, is_hermitian
+from .linalg import _check_integers, _is_integer, as_complex_matrix, is_hermitian
 from .tolerances import DENSITY_MATRIX, PSD, PURE_PURITY_GAP, STATE_NORM
 
 
 def basis_state(dim: int, index: int) -> np.ndarray:
     """Standard basis vector |index⟩ in a ``dim``-dimensional space."""
-    if not _is_integer(dim) or dim < 1:
-        raise ValueError("dimension must be positive")
+    _check_integers("dimension must be positive", dim)
     if not (_is_integer(index) and 0 <= index < dim):
         raise ValueError("bad subsystem index")
     vec = np.zeros(dim, dtype=complex)
@@ -78,15 +77,13 @@ def is_pure(rho) -> bool:
 
 def maximally_mixed(dim: int) -> np.ndarray:
     """The state I/dim."""
-    if not _is_integer(dim) or dim < 1:
-        raise ValueError("dimension must be positive")
+    _check_integers("dimension must be positive", dim)
     return np.eye(dim, dtype=complex) / dim
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector."""
-    if not _is_integer(dim) or dim < 1:
-        raise ValueError("dimension must be positive")
+    _check_integers("dimension must be positive", dim)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
 

@@ -99,6 +99,18 @@ class TestKrausSet:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             KrausSet(ops)
 
+    def test_rejects_overflowing_operator_sum(self):
+        # Σ E†E overflows to inf and NaN entries, and a NaN defect is never
+        # within tolerance. The overflow comes from the input, so its
+        # RuntimeWarnings, which the test settings turn into errors, are
+        # silenced here.
+        huge = 1e200 * np.array([[1, 1], [1, 1j]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not trace preserving"):
+                KrausSet((huge,))
+            with pytest.raises(ValueError, match="not trace preserving"):
+                Channel.from_kraus([huge])
+
     def test_operators_are_read_only(self):
         k = identity_channel(2).kraus
         with pytest.raises(ValueError):

@@ -670,6 +670,27 @@ class TestErrorPaths:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "command",
+        [["convert", "huge.json", "--to", "kraus"], ["apply", "huge.json", "state.json"]],
+        ids=["convert", "apply"],
+    )
+    def test_overflowing_kraus_file_exits_two(self, capsys, tmp_path, monkeypatch, command):
+        # Finite entries whose Σ E†E overflows to inf and NaN: the load must
+        # reject the channel, not write NaN or Infinity. The overflow comes
+        # from the input, so its RuntimeWarnings, which the test settings
+        # turn into errors, are silenced here.
+        monkeypatch.chdir(tmp_path)
+        data = channel_to_dict(identity_channel(2))
+        data["kraus"] = [matrix_to_pairs(1e200 * np.array([[1, 1], [1, 1j]]))]
+        save_json(data, "huge.json")
+        save_json(state_to_dict(np.eye(2) / 2), "state.json")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert "not trace preserving" in err
+
+    @pytest.mark.parametrize(
         "edit, message",
         [
             # An integer too large for a float: OverflowError in complex().

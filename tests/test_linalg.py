@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from envchan import (
+    ChoiMatrix,
     CounterexampleParams,
+    Dilation,
+    KrausSet,
+    apply,
     basis_state,
     build_counterexample,
     complete_unitary,
     eig_hermitian,
+    identity_channel,
     implementing_unitary,
     is_hermitian,
     is_unitary,
@@ -18,7 +23,9 @@ from envchan import (
     random_density_matrix,
     random_pure_state,
 )
+from envchan.channels import apply_from_choi
 from envchan.linalg import as_complex_matrix
+from envchan.tolerances import CHANNEL, UNITARY
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -242,6 +249,16 @@ class TestCompleteUnitary:
         with pytest.raises(ValueError, match="not orthonormal"):
             complete_unitary(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_overflowing_columns(self):
+        # The Gram matrix overflows to inf and NaN entries, and a NaN defect
+        # is never within tolerance, so the orthonormality check rejects the
+        # input before the completion is built. The overflow comes from the
+        # input, so its RuntimeWarnings, which the test settings turn into
+        # errors, are silenced here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="columns not orthonormal"):
+                complete_unitary(1e200 * np.array([1 + 1j, 1 - 1j]))
+
 
 def test_hermitian_predicate():
     assert is_hermitian(X)
@@ -251,17 +268,100 @@ def test_hermitian_predicate():
     assert not is_unitary(np.ones((2, 3)))
 
 
+def test_empty_matrix_is_unitary():
+    # As is_hermitian, is_unitary holds vacuously for a 0 × 0 matrix.
+    assert is_hermitian(np.zeros((0, 0)))
+    assert is_unitary(np.zeros((0, 0)))
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 1.5])
+def test_within_gives_each_old_verdict(factor):
+    # Five sites once wrote "within atol in every entry" by hand, in two
+    # forms; each old expression is kept here as the reference, with its
+    # own comparison and its own `initial`. Every input is finite, and its
+    # largest defect is `factor` times the tolerance: where the tolerance
+    # is an argument it is set from the measured defect, so at 1.0 the two
+    # are equal and the boundary is pinned.
+    rng = np.random.default_rng([26, int(10 * factor)])
+    tiny = 1e-11 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    verdicts = []
+
+    h = random_hermitian(2, rng) + tiny
+    atol = np.abs(h - h.conj().T).max(initial=0.0) / factor
+    old = bool(np.abs(h - h.conj().T).max(initial=0.0) <= atol)
+    verdicts.append((is_hermitian(h, atol), old))
+
+    u = haar_unitary(2, rng) + tiny
+    eye = np.eye(2)
+    atol = np.abs(u @ u.conj().T - eye).max() / factor
+    old = bool(np.abs(u @ u.conj().T - eye).max() <= atol)
+    verdicts.append((is_unitary(u, atol), old))
+
+    # UNITARY is fixed here, so the defect is one exact off-diagonal entry
+    # of the Gram matrix.
+    q = np.eye(3, 2, dtype=complex)
+    q[0, 1] = factor * UNITARY
+    old = not np.abs(q.conj().T @ q - np.eye(2)).max(initial=0.0) > UNITARY
+    verdicts.append((_accepts(lambda: complete_unitary(q)), old))
+
+    ops = tuple((1 + CHANNEL) * op for op in random_channel(2, 2, rng).kraus.operators)
+    stacked = np.concatenate(ops)
+    total = stacked.conj().T @ stacked
+    atol = np.abs(total - np.eye(2)).max() / factor
+    old = not np.abs(total - np.eye(2)).max() > atol
+    verdicts.append((_accepts(lambda: KrausSet(ops, atol=atol)), old))
+
+    m = (1 + CHANNEL) * random_channel(2, 2, rng).choi.matrix
+    reduced = np.trace(m.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    atol = np.abs(reduced - np.eye(2)).max() / factor
+    old = not np.abs(reduced - np.eye(2)).max() > atol
+    verdicts.append((_accepts(lambda: ChoiMatrix(2, 2, m, atol=atol)), old))
+
+    assert verdicts == [(factor <= 1, factor <= 1)] * 5
+
+
+# The callers that pass as_complex_matrix a shape: a 1-D input and a finite
+# matrix of the wrong shape are a shape mismatch, but non-finite entries are
+# named first, whatever the shape.
+SHAPED = {
+    "ChoiMatrix": lambda m: ChoiMatrix(2, 2, m),
+    "apply": lambda m: apply(identity_channel(2), m),
+    "apply_from_choi": lambda m: apply_from_choi(identity_channel(2).choi, m),
+    "CounterexampleParams": lambda m: CounterexampleParams(2, 2, m),
+    "Dilation": lambda m: Dilation(
+        d_in=2, d_fin=2, d_env=0, unitary=m, env_state=np.diag([1.0, 0.0])
+    ),
+}
+MISSHAPEN = {
+    "vector": (np.ones(4), "shape mismatch"),
+    "wrong-shape": (np.eye(3), "shape mismatch"),
+    "nan-wrong-shape": (np.full((3, 3), np.nan), "matrix entries must be finite"),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: as_complex_matrix(np.ones(3)),
-        lambda: eig_hermitian(np.ones((2, 3))),
-        lambda: complete_unitary(np.eye(2, 3)),
+        (lambda: as_complex_matrix(np.ones(3)), "shape mismatch"),
+        (lambda: eig_hermitian(np.ones((2, 3))), "shape mismatch"),
+        (lambda: complete_unitary(np.eye(2, 3)), "shape mismatch"),
+    ] + [
+        (lambda site=site, m=m: site(m), message)
+        for site in SHAPED.values() for m, message in MISSHAPEN.values()
     ],
-    ids=["as_complex_matrix-vector", "eig_hermitian-non-square", "complete_unitary-wide"],
+    ids=["as_complex_matrix-vector", "eig_hermitian-non-square", "complete_unitary-wide"]
+    + [f"{name}-{kind}" for name in SHAPED for kind in MISSHAPEN],
 )
-def test_rejects_mismatched_shapes(call):
-    with pytest.raises(ValueError, match="shape mismatch"):
+def test_rejects_mismatched_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
 
 
