@@ -27,6 +27,7 @@ from .counterexample import (
     CounterexampleParams,
     NonRealizabilityCertificate,
     build_counterexample,
+    certify_channel,
     certify_nonrealizable,
     implementing_unitary,
     match_family,
@@ -89,6 +90,7 @@ __all__ = [
     "apply",
     "basis_state",
     "build_counterexample",
+    "certify_channel",
     "certify_nonrealizable",
     "channel_from_dilation",
     "choi_to_kraus",

@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    _check_integers, _within, as_complex_matrix, eig_hermitian, is_hermitian,
-    partial_trace,
+    _check_integers, _is_psd, _within, as_complex_matrix, eig_hermitian,
+    is_hermitian, partial_trace,
 )
 from .tolerances import CHANNEL, DISTRIBUTION, EXTREMAL_RANK, KRAUS_RANK_CUTOFF
 
@@ -112,7 +112,7 @@ class ChoiMatrix:
         m = as_complex_matrix(self.matrix, (side, side))
         if not is_hermitian(m, self.atol):
             raise ValueError("not completely positive")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -self.atol:
+        if not _is_psd(m, self.atol):
             raise ValueError("not completely positive")
         # partial_trace(m, [d_in, d_out], keep={0}), without its checks.
         reduced = np.trace(m.reshape((self.d_in, self.d_out) * 2), axis1=1, axis2=3)

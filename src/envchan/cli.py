@@ -4,7 +4,11 @@ Subcommands: build, certify, search, convert, apply, params, perturb.
 Each command returns its payload and ``main`` writes it as JSON to --out
 or standard output: certify, search and perturb a report envelope around
 their results, build, convert and apply the bare file payload, params an
-integer. Human-oriented errors go to standard error.
+integer. A report's results are the one result object that the library
+decides, encoded without its None fields: the certificate of
+``certify_channel`` (file) or ``certify_nonrealizable`` (family flags),
+the ``SearchResult`` or the ``PerturbationReport``. Human-oriented errors
+go to standard error, one line each.
 
 ``build counterexample`` and ``certify`` without a channel file take the
 family flags: --d, --d-fin and --rho-target, the comma-separated
@@ -39,17 +43,17 @@ from . import io
 from .channels import Channel, apply, random_channel
 from .counterexample import (
     INCONCLUSIVE,
+    NOT_REALIZABLE,
     CounterexampleParams,
     build_counterexample,
+    certify_channel,
     certify_nonrealizable,
-    match_family,
 )
 from .dilation import channel_from_dilation
 from .linalg import is_unitary
 from .realizability import (
     LIKELY_NOT_REALIZABLE,
     REALIZED,
-    NUMERICAL_EVIDENCE_NOTE,
     UNDECIDED,
     SearchConfig,
     parameter_count,
@@ -57,7 +61,9 @@ from .realizability import (
     search_mixed_env_realization,
 )
 
-# Exit codes of the search verdicts, as in the module docstring.
+# Exit codes of the certificate claims and search verdicts, as in the
+# module docstring.
+_CERTIFY_EXIT_CODES = {NOT_REALIZABLE: 0, INCONCLUSIVE: 3}
 _SEARCH_EXIT_CODES = {REALIZED: 0, LIKELY_NOT_REALIZABLE: 4, UNDECIDED: 5}
 # Commands whose results main wraps in a report envelope.
 _REPORT_COMMANDS = ("certify", "search", "perturb")
@@ -65,10 +71,11 @@ _REPORT_COMMANDS = ("certify", "search", "perturb")
 
 def _jsonable(value):
     """Encode a result for a report: dataclasses become dicts in field
-    order, tuples become lists, real arrays nested lists, and complex
-    arrays nested [re, im] pairs."""
+    order, without the fields that are None, tuples become lists, real
+    arrays nested lists, and complex arrays nested [re, im] pairs."""
     if is_dataclass(value):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+        items = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _jsonable(v) for name, v in items if v is not None}
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -121,48 +128,19 @@ def cmd_build(args) -> tuple[dict, int]:
 
 
 def cmd_certify(args) -> tuple[dict, int]:
-    membership = None
     if args.channel is not None:
         family = (args.d, args.d_fin, args.rho_target, args.rho_basis)
         if any(flag is not None for flag in family):
             raise ValueError("give a channel file or family flags, not both")
-        channel = _load_channel(args.channel)
-        match = match_family(channel)
-        if match is None:
-            results = {
-                "claim": INCONCLUSIVE,
-                "narrative": [
-                    "channel is not a detectable member of the certifiable "
-                    "family (collapse to a common pure image plus one truly "
-                    "mixed, totally decohered image); the analytic argument "
-                    "does not apply"
-                ],
-            }
-            return results, 3
-        params, choi_distance = match
-        membership = {
-            "choi_distance": choi_distance,
-            "canonical_rho_target": _jsonable(params.rho_target),
-        }
+        certificate = certify_channel(_load_channel(args.channel))
     else:
-        params = _counterexample_params(args)
-    results = _jsonable(certify_nonrealizable(params))
-    if membership is not None:
-        results["membership"] = membership
-    return results, 0
+        certificate = certify_nonrealizable(_counterexample_params(args))
+    return _jsonable(certificate), _CERTIFY_EXIT_CODES[certificate.claim]
 
 
 def cmd_search(args) -> tuple[dict, int]:
-    channel = _load_channel(args.channel)
-    config = _search_config(args)
-    result = search_mixed_env_realization(channel, config)
-    results = {
-        **_jsonable(result),
-        "realizable_threshold": config.realizable_threshold,
-        "nonrealizable_threshold": config.nonrealizable_threshold,
-        "note": NUMERICAL_EVIDENCE_NOTE,
-    }
-    return results, _SEARCH_EXIT_CODES[result.verdict]
+    result = search_mixed_env_realization(_load_channel(args.channel), _search_config(args))
+    return _jsonable(result), _SEARCH_EXIT_CODES[result.verdict]
 
 
 def cmd_convert(args) -> tuple[dict, int]:
@@ -182,9 +160,9 @@ def cmd_params(args) -> tuple[int, int]:
 
 
 def cmd_perturb(args) -> tuple[dict, int]:
-    channel = _load_channel(args.channel)
-    config = _search_config(args)
-    report = perturbation_experiment(channel, args.radius, args.samples, config)
+    report = perturbation_experiment(
+        _load_channel(args.channel), args.radius, args.samples, _search_config(args)
+    )
     return _jsonable(report), 0
 
 
@@ -302,7 +280,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = perf_counter()
     try:
-        payload, code = args.func(args)
+        # An input that overflows fails a validation check, which is the one
+        # stderr line; NumPy's overflow and invalid-value warnings would only
+        # add lines before it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            payload, code = args.func(args)
         if args.command in _REPORT_COMMANDS:
             payload = io._envelope(
                 "report", command=args.command, argv=list(argv),

@@ -12,12 +12,15 @@ Such channels are valid quantum operations — :func:`implementing_unitary`
 exhibits an explicit dilation with a two-dimensional auxiliary environment —
 yet they cannot be realized by a unitary on the initial ⊗ final space alone
 with the final system initialized in any fixed state, however mixed.
-:func:`certify_nonrealizable` mechanizes that argument step by step.
+:func:`certify_nonrealizable` mechanizes that argument step by step for
+given family parameters, and :func:`certify_channel` decides a channel: it
+certifies a detected member (:func:`match_family`) and says INCONCLUSIVE
+for any other channel. Both return one :class:`NonRealizabilityCertificate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,7 +134,7 @@ def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> D
     beta = complex(beta)
     if alpha == 0 or beta == 0:
         raise ValueError("coefficients must be nonzero")
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > STATE_NORM:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= STATE_NORM:
         raise ValueError("coefficients must be normalized")
     d_env = 2
     block = d_fin * d_env
@@ -148,20 +151,33 @@ def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> D
 
 
 @dataclass(frozen=True, eq=False)
+class FamilyMembership:
+    """How a channel matched the family (see :func:`match_family`): the
+    Frobenius Choi distance to the rebuilt member, and ρ' in the basis whose
+    first vector is the common pure image."""
+
+    choi_distance: float
+    canonical_rho_target: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class NonRealizabilityCertificate:
     """Outcome of the analytic argument, with an auditable narrative.
 
-    ``claim`` is always NOT_REALIZABLE; only the CLI reports INCONCLUSIVE,
-    for a channel outside the family. ``excluded_ranks`` holds one
+    ``claim`` is NOT_REALIZABLE or, for a channel outside the family,
+    INCONCLUSIVE. A NOT_REALIZABLE ``excluded_ranks`` holds one
     ``(rank, rule)`` pair for each initialization rank r = 1..d_fin, in rank
     order, naming the deduction that excludes it: ``"decoherence"`` for
     r = 1, ``"overlap"`` for r = 2 at d = 2, and ``"counting"`` (r(d−1) > d
-    orthonormal vectors in the d-dimensional initial space) otherwise.
+    orthonormal vectors in the d-dimensional initial space) otherwise; an
+    INCONCLUSIVE one has None. ``membership`` is set when the claim was
+    decided from a channel, not from family parameters.
     """
 
     claim: str
-    excluded_ranks: tuple
+    excluded_ranks: tuple | None
     narrative: tuple
+    membership: FamilyMembership | None = None
 
 
 def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificate:
@@ -176,8 +192,7 @@ def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificat
     rank as one ``(rank, rule)`` pair of ``excluded_ranks``.
 
     ``p``'s constructor is the one check of the family's preconditions, and
-    its fields are read-only, so the claim is always NOT_REALIZABLE; only
-    the CLI reports INCONCLUSIVE, for non-members.
+    its fields are read-only, so the claim is always NOT_REALIZABLE.
     """
     d, d_fin = p.d, p.d_fin
     target_purity = purity(p.rho_target)
@@ -275,3 +290,23 @@ def match_family(channel: Channel) -> tuple[CounterexampleParams, float] | None:
     if dist > FAMILY_MATCH:
         return None
     return params, float(dist)
+
+
+def certify_channel(channel: Channel) -> NonRealizabilityCertificate:
+    """Certify a channel: NOT_REALIZABLE, with its ``membership``, if
+    :func:`match_family` finds it in the family, and INCONCLUSIVE, with one
+    narrative line and no ``excluded_ranks``, otherwise."""
+    match = match_family(channel)
+    if match is None:
+        return NonRealizabilityCertificate(
+            claim=INCONCLUSIVE,
+            excluded_ranks=None,
+            narrative=(
+                "channel is not a detectable member of the certifiable family "
+                "(collapse to a common pure image plus one truly mixed, totally "
+                "decohered image); the analytic argument does not apply",
+            ),
+        )
+    params, choi_distance = match
+    membership = FamilyMembership(choi_distance, params.rho_target)
+    return replace(certify_nonrealizable(params), membership=membership)

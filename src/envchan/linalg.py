@@ -1,6 +1,7 @@
 """Dense complex linear algebra helpers (partial traces, deterministic
 Hermitian eigendecompositions, unitary completion) and the one statement
-of each input rule: matrix shape, integer sizes, entrywise tolerance.
+of each input rule: matrix shape, integer sizes, entrywise tolerance and
+the PSD floor.
 
 All functions take and return plain numpy arrays. Composite subsystems are
 ordered [initial, final, environment] throughout the package.
@@ -44,6 +45,12 @@ def _within(a, b, atol: float) -> bool:
     """Whether ``a`` and ``b`` agree within ``atol`` in every entry; a NaN
     never does, and empty arrays always do."""
     return bool(np.abs(a - b).max(initial=0.0) <= atol)
+
+
+def _is_psd(m: np.ndarray, atol: float) -> bool:
+    """Whether the Hermitian part of square ``m`` has no eigenvalue below
+    ``-atol``; a NaN spectrum never does, and an empty matrix always does."""
+    return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min(initial=0.0) >= -atol)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT) -> bool:

@@ -211,7 +211,9 @@ class SearchResult:
     to the target of the dilation decoded from that restart's end point,
     re-checked independently of the optimizer (the loop stops early once one
     beats the realizable threshold). ``best_residual`` is the least of them,
-    and ``best_unitary``/``best_env_spectrum`` are its dilation.
+    and ``best_unitary``/``best_env_spectrum`` are its dilation. The two
+    thresholds are those the verdict was decided against; ``note`` says
+    what LIKELY_NOT_REALIZABLE means.
     """
 
     verdict: str
@@ -219,6 +221,9 @@ class SearchResult:
     residual_history: tuple
     best_env_spectrum: np.ndarray
     best_unitary: np.ndarray
+    realizable_threshold: float
+    nonrealizable_threshold: float
+    note: str = field(default=NUMERICAL_EVIDENCE_NOTE)
 
 
 def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
@@ -439,6 +444,8 @@ def search_mixed_env_realization(
         residual_history=tuple(history),
         best_env_spectrum=spectrum,
         best_unitary=unitary,
+        realizable_threshold=config.realizable_threshold,
+        nonrealizable_threshold=config.nonrealizable_threshold,
     )
 
 

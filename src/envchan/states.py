@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _check_integers, _is_integer, as_complex_matrix, is_hermitian
+from .linalg import _check_integers, _is_integer, _is_psd, as_complex_matrix, is_hermitian
 from .tolerances import DENSITY_MATRIX, PSD, PURE_PURITY_GAP, STATE_NORM
 
 
@@ -56,8 +56,7 @@ def validate_density_matrix(rho, *, atol: float = DENSITY_MATRIX) -> np.ndarray:
         raise ValueError("shape mismatch")
     if not is_hermitian(m, atol):
         raise ValueError("not hermitian")
-    eigenvalues = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if eigenvalues.min(initial=0.0) < -max(atol, PSD):
+    if not _is_psd(m, max(atol, PSD)):
         raise ValueError("not positive semidefinite")
     if abs(np.trace(m).real - 1.0) > atol or abs(np.trace(m).imag) > atol:
         raise ValueError("trace not one")

@@ -4,10 +4,10 @@ Every threshold that decides whether an input is accepted, or whether a
 numerical value counts as zero, is one of the named constants below, so the
 thresholds are documented in one place and the same value is used everywhere
 a given kind of check appears. Every entrywise comparison ("within atol in
-every entry") goes through ``linalg._within``, under which a NaN is never
-within tolerance. One 1e-12 literal stays local because it only fixes a
-layout, never a verdict: the phase and degenerate-block ordering in
-``linalg.eig_hermitian``.
+every entry") goes through ``linalg._within``, and every PSD floor through
+``linalg._is_psd``; a NaN passes neither. One 1e-12 literal stays local
+because it only fixes a layout, never a verdict: the phase and
+degenerate-block ordering in ``linalg.eig_hermitian``.
 """
 
 # Entrywise bound for density-matrix hermiticity and unit trace.

@@ -157,6 +157,15 @@ class TestChoiValidation:
         with pytest.raises(ValueError, match="not trace preserving"):
             ChoiMatrix(2, 2, 1.5 * np.diag([1.0, 0, 1.0, 0]))
 
+    def test_rejects_overflowing_hermitian_part(self):
+        # Trace preserving, but the Hermitian part overflows to inf and its
+        # spectrum is NaN, which is never above the PSD floor. The overflow
+        # comes from the input, so its RuntimeWarnings are silenced here.
+        huge = np.array([[0.5, 1e308], [1e308, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not completely positive"):
+                ChoiMatrix(1, 2, huge)
+
     @pytest.mark.parametrize("dim", [2.0, True])
     def test_rejects_non_integer_dimensions(self, dim):
         # The completely depolarizing channel on int(dim) inputs.

@@ -558,6 +558,16 @@ class TestReportKeys:
             "choi_distance", "canonical_rho_target",
         ]
 
+    def test_certify_inconclusive(self, capsys, identity_file):
+        _, data, _ = run_json(capsys, "certify", identity_file)
+        assert list(data["results"]) == ["claim", "narrative"]
+
+    def test_certify_flags(self, capsys):
+        _, data, _ = run_json(
+            capsys, "certify", "--d", "3", "--d-fin", "2", "--rho-target", "0.5,0.5"
+        )
+        assert list(data["results"]) == ["claim", "excluded_ranks", "narrative"]
+
 
 class TestOutput:
     """Every JSON-writing command writes the same payload to --out as to
@@ -689,6 +699,17 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "not trace preserving" in err
+
+    def test_overflowing_input_gives_one_stderr_line(self, capsys, tmp_path, monkeypatch):
+        # main runs the command with overflow and invalid-value warnings off,
+        # so the overflow in the load neither warns (the test settings would
+        # make that an error) nor adds lines before the one error line.
+        monkeypatch.chdir(tmp_path)
+        data = channel_to_dict(identity_channel(2))
+        data["kraus"] = [matrix_to_pairs(1e200 * np.array([[1, 1], [1, 1j]]))]
+        save_json(data, "huge.json")
+        code, out, err = run(capsys, "convert", "huge.json", "--to", "kraus")
+        assert (code, out, err) == (2, "", "error: not trace preserving\n")
 
     @pytest.mark.parametrize(
         "edit, message",

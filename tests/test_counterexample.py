@@ -4,13 +4,16 @@ analytic certificate, and family detection."""
 import numpy as np
 import pytest
 
+import envchan.counterexample as counterexample
 from envchan import (
+    INCONCLUSIVE,
     NOT_REALIZABLE,
     Channel,
     CounterexampleParams,
     apply,
     basis_state,
     build_counterexample,
+    certify_channel,
     certify_nonrealizable,
     channel_from_dilation,
     distance,
@@ -23,6 +26,7 @@ from envchan import (
     random_density_matrix,
     random_pure_state,
 )
+from envchan.tolerances import FAMILY_MATCH
 
 S = 1 / np.sqrt(2)
 
@@ -153,6 +157,11 @@ class TestImplementingUnitary:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             implementing_unitary(2, 2, 1.0, 1.0)
+
+    def test_rejects_nan_coefficient(self):
+        # |α|² + |β|² is NaN, which is never within the norm tolerance.
+        with pytest.raises(ValueError, match="coefficients must be normalized"):
+            implementing_unitary(2, 2, complex("nan"), 1)
 
     def test_unitary_and_environment_shape(self):
         dil = implementing_unitary(3, 2, S, S)
@@ -293,3 +302,35 @@ class TestMatchFamily:
             np.array([[0, 0], [0, 0], [0, S]], dtype=complex),
         ]
         assert match_family(Channel.from_kraus(ops)) is None
+
+
+class TestCertifyChannel:
+    def test_member_is_certified_with_its_membership(self):
+        params = CounterexampleParams(3, 2, np.diag([0.7, 0.3]))
+        channel = build_counterexample(params)
+        cert = certify_channel(channel)
+        found, choi_distance = match_family(channel)
+        assert cert.claim == NOT_REALIZABLE
+        assert cert.excluded_ranks == certify_nonrealizable(found).excluded_ranks
+        assert cert.narrative == certify_nonrealizable(found).narrative
+        assert cert.membership.choi_distance == choi_distance <= FAMILY_MATCH
+        np.testing.assert_array_equal(cert.membership.canonical_rho_target, found.rho_target)
+
+    def test_non_member_is_inconclusive(self):
+        cert = certify_channel(identity_channel(2))
+        assert cert.claim == INCONCLUSIVE
+        assert cert.excluded_ranks is None and cert.membership is None
+        assert len(cert.narrative) == 1
+
+    def test_calls_both_steps_through_the_module(self, monkeypatch):
+        # A wrapper bound to the module's names, as a tracer binds it, sees
+        # both steps of a member's certificate.
+        calls = []
+        for name in ("match_family", "certify_nonrealizable"):
+            original = getattr(counterexample, name)
+            monkeypatch.setattr(
+                counterexample, name,
+                lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a),
+            )
+        certify_channel(build_counterexample(CounterexampleParams(2, 2, np.diag([0.5, 0.5]))))
+        assert calls == ["match_family", "certify_nonrealizable"]

@@ -15,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
-    assert len(DEMOS) == 5
+    assert len(DEMOS) == 6
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

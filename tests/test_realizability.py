@@ -502,6 +502,12 @@ class TestSearch:
         )
         assert result.verdict == REALIZED
 
+    def test_result_carries_its_thresholds_and_note(self):
+        result = search_mixed_env_realization(identity_channel(2), SearchConfig(restarts=1))
+        assert result.realizable_threshold == SearchConfig.realizable_threshold
+        assert result.nonrealizable_threshold == SearchConfig.nonrealizable_threshold
+        assert result.note == NUMERICAL_EVIDENCE_NOTE
+
     def test_early_stop_shortens_history(self):
         result = search_mixed_env_realization(
             identity_channel(2), SearchConfig(restarts=50)
@@ -789,3 +795,49 @@ class TestPerturbation:
         b = perturbation_experiment(center, 0.01, 2, config)
         assert a.best_residuals == b.best_residuals
         assert a.verdicts == b.verdicts
+
+
+PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+def spectral_margin(channel):
+    """m = λ1λ4 − λ2λ3 of a 2→2 channel's Choi spectrum, sorted in
+    descending order and divided by its sum."""
+    lam = np.linalg.eigvalsh(channel.choi.matrix)[::-1]
+    lam = lam / lam.sum()
+    return lam[0] * lam[3] - lam[1] * lam[2]
+
+
+class TestSpectralMarginConjecture:
+    """A conjecture, not a theorem: a 2→2 channel is realizable with a
+    one-qubit mixed environment exactly when its spectral margin m ≥ 0.
+
+    Every probe so far agrees with it, but nothing proves it, so m decides
+    no verdict in the package: the search decides, and m < 0 never
+    produces NOT_REALIZABLE. This pins the search's agreement with the
+    sign of m on a seeded corpus kept away from the boundary (|m| > 1e-2):
+    Pauli channels Σ q_k σ_k ρ σ_k on both sides of it, and random channels
+    of Kraus rank 3 (where m = −λ2λ3 < 0) and 4."""
+
+    WEIGHTS = [
+        (0.4, 0.3, 0.2, 0.1), (0.3, 0.3, 0.3, 0.1), (0.35, 0.3, 0.25, 0.1),
+        (0.7, 0.1, 0.1, 0.1), (0.55, 0.2, 0.15, 0.1), (0.5, 0.3, 0.1, 0.1),
+    ]
+
+    def test_realized_exactly_when_margin_positive(self):
+        corpus = [
+            Channel.from_kraus([np.sqrt(q) * s for q, s in zip(w, PAULIS)])
+            for w in self.WEIGHTS
+        ]
+        rng = np.random.default_rng(29)
+        while len(corpus) < 12:
+            channel = random_channel(2, 2, rng, kraus_rank=3 + len(corpus) % 2)
+            if abs(spectral_margin(channel)) > 1e-2:
+                corpus.append(channel)
+        signs = []
+        for channel in corpus:
+            m = spectral_margin(channel)
+            result = search_mixed_env_realization(channel, SearchConfig(restarts=10))
+            assert (result.verdict == REALIZED) == (m > 0), (m, result.verdict)
+            signs.append(m > 0)
+        assert signs == [False] * 3 + [True] * 3 + [False] * 6

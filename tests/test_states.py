@@ -57,6 +57,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             validate_density_matrix(np.diag([1.5, -0.5]))
 
+    def test_rejects_overflowing_hermitian_part(self):
+        # The Hermitian part overflows to inf, its spectrum is NaN, and a NaN
+        # spectrum is never above the PSD floor. The overflow comes from the
+        # input, so its RuntimeWarnings, which the test settings turn into
+        # errors, are silenced here.
+        huge = np.array([[0.5, 1e308], [1e308, 0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                validate_density_matrix(huge)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace not one"):
             validate_density_matrix(np.diag([0.6, 0.6]))
