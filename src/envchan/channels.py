@@ -225,15 +225,21 @@ def mix(channels, weights) -> Channel:
     return Channel.from_choi(ChoiMatrix(dims[0], dims[1], c, atol=atol))
 
 
-def distance(a: Channel, b: Channel) -> float:
+def distance(a: Channel | ChoiMatrix, b: Channel | ChoiMatrix) -> float:
     """Frobenius distance between Choi matrices; 0 iff the maps are equal.
+
+    Either side may be a :class:`Channel` or an already checked
+    :class:`ChoiMatrix`, which is compared as it stands: the search's
+    re-check passes the Choi matrix it summed from a dilation, with no
+    Kraus round trip.
 
     Raises:
         ValueError: "shape mismatch" if dimensions differ.
     """
     if (a.d_in, a.d_out) != (b.d_in, b.d_out):
         raise ValueError("shape mismatch")
-    return float(np.linalg.norm(a.choi.matrix - b.choi.matrix))
+    a, b = (x.choi if isinstance(x, Channel) else x for x in (a, b))
+    return float(np.linalg.norm(a.matrix - b.matrix))
 
 
 def is_extremal(k: KrausSet) -> bool:

@@ -129,12 +129,20 @@ def _env_components(d: Dilation):
         yield p, vec, _choi_from_vecs(_kraus_rows(columns, d.d_in, d.d_fin))
 
 
-def _channel(d: Dilation, choi: np.ndarray) -> Channel:
-    """The channel d_in → d_fin with Choi matrix ``choi``, checked at the
+def _checked_choi(d: Dilation, choi: np.ndarray) -> ChoiMatrix:
+    """``choi`` checked as the Choi matrix of a channel d_in → d_fin, at the
     dilation's tolerance."""
-    return Channel.from_choi(
-        ChoiMatrix(d.d_in, d.d_fin, choi, atol=max(d.atol, CHANNEL))
-    )
+    return ChoiMatrix(d.d_in, d.d_fin, choi, atol=max(d.atol, CHANNEL))
+
+
+def _dilation_choi(d: Dilation) -> ChoiMatrix:
+    """The Choi matrix Σ_p p·C_p of the dilation's channel, summed over the
+    components of :func:`_env_components` and checked as CP and TP."""
+    side = d.d_in * d.d_fin
+    choi = np.zeros((side, side), dtype=complex)
+    for p, _, component in _env_components(d):
+        choi += p * component
+    return _checked_choi(d, choi)
 
 
 def channel_from_dilation(d: Dilation) -> Channel:
@@ -144,11 +152,7 @@ def channel_from_dilation(d: Dilation) -> Channel:
     spectral cutoff contributes its family of Kraus operators with weight
     √p. The result carries the minimal Kraus set of the induced Choi matrix.
     """
-    side = d.d_in * d.d_fin
-    choi = np.zeros((side, side), dtype=complex)
-    for p, _, component in _env_components(d):
-        choi += p * component
-    return _channel(d, choi)
+    return Channel.from_choi(_dilation_choi(d))
 
 
 def stinespring_from_kraus(k: KrausSet) -> Dilation:
@@ -184,7 +188,7 @@ def decompose_mixed_env(d: Dilation) -> list[SpectralComponent]:
         SpectralComponent(
             weight=float(p),
             env_basis_state=vec,
-            channel=_channel(d, component),
+            channel=Channel.from_choi(_checked_choi(d, component)),
         )
         for p, vec, component in _env_components(d)
     ]

@@ -26,10 +26,11 @@ zigzagging across it, and a realizable target needs tens of steps, not
 hundreds. A restart stops once a step lowers ‖R‖² by at most 1e-4 of
 itself or barely moves the point, or after ``max_iters`` trial steps.
 Each restart's end point is decoded into a unitary and a spectrum, and its
-Choi distance to the target is re-checked through the dilation path; the
-re-checked residuals alone decide the early stop and the verdict, against
-two thresholds. LIKELY_NOT_REALIZABLE is numerical evidence from a local
-search, never a proof.
+Choi distance to the target is re-checked: the dilation's Choi matrix,
+summed from U's entries and checked as CP and TP, is compared with the
+target's. The re-checked residuals alone decide the early stop and the
+verdict, against two thresholds. LIKELY_NOT_REALIZABLE is numerical
+evidence from a local search, never a proof.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
-from .dilation import Dilation, _kraus_columns, channel_from_dilation
+from .dilation import Dilation, _dilation_choi, _kraus_columns
 from .linalg import _check_integers, _frame, _is_integer
 from .tolerances import ENV_SPECTRUM_CUTOFF
 
@@ -382,7 +383,13 @@ def _minimal_kraus_rows(target: Channel) -> np.ndarray:
 def realization_residual(target: Channel, unitary: np.ndarray, spectrum) -> float:
     """Choi distance between the target and the channel induced by the
     dilation (unitary, diag(spectrum)) — the independent check of a search
-    outcome."""
+    outcome.
+
+    It uses nothing of the optimizer's state: the dilation is validated
+    (U unitary, diag(spectrum) a density matrix), its Choi matrix is summed
+    from U's entries and checked as CP and TP, and that checked matrix is
+    compared with the target's.
+    """
     spectrum = np.asarray(spectrum, dtype=float)
     dil = Dilation(
         d_in=target.d_in,
@@ -391,7 +398,7 @@ def realization_residual(target: Channel, unitary: np.ndarray, spectrum) -> floa
         unitary=unitary,
         env_state=np.diag(spectrum).astype(complex),
     )
-    return distance(channel_from_dilation(dil), target)
+    return distance(_dilation_choi(dil), target)
 
 
 def search_mixed_env_realization(

@@ -316,6 +316,22 @@ class TestDistance:
         with pytest.raises(ValueError, match="shape mismatch"):
             distance(identity_channel(2), identity_channel(3))
 
+    def test_choi_matrix_gives_its_channels_bits(self):
+        rng = np.random.default_rng(32)
+        for d_in, d_out in [(2, 2), (3, 2), (2, 3)]:
+            a, b = random_channel(d_in, d_out, rng), random_channel(d_in, d_out, rng)
+            value = distance(a, b)
+            assert value > 0
+            assert distance(a.choi, b) == value
+            assert distance(a, b.choi) == value
+            assert distance(a.choi, b.choi) == value
+
+    def test_rejects_mismatched_choi_matrices(self):
+        two, three = identity_channel(2), identity_channel(3)
+        for a, b in [(two.choi, three), (two, three.choi), (two.choi, three.choi)]:
+            with pytest.raises(ValueError, match="shape mismatch"):
+                distance(a, b)
+
 
 class TestIsExtremal:
     def test_unitary_channel(self):

@@ -6,6 +6,7 @@ import pytest
 
 from envchan import (
     Channel,
+    ChoiMatrix,
     Dilation,
     apply,
     basis_state,
@@ -23,6 +24,7 @@ from envchan import (
 from envchan.channels import _choi_from_vecs
 from envchan.dilation import _env_components, _kraus_columns, _kraus_rows
 from envchan.linalg import eig_hermitian
+from envchan.tolerances import CHANNEL
 
 
 def haar_unitary(n, rng):
@@ -53,6 +55,30 @@ class TestChannelFromDilation:
     def test_swap_gives_identity_channel(self):
         dil = Dilation(2, 2, 0, swap_gate(), projector(basis_state(2, 0)))
         assert distance(channel_from_dilation(dil), identity_channel(2)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "d_in, d_fin, d_env",
+        [(2, 2, 0), (3, 2, 0), (2, 3, 0), (2, 2, 2), (2, 1, 3)],
+    )
+    def test_kraus_operators_are_those_of_the_weighted_choi_sum(self, d_in, d_fin, d_env):
+        # The arithmetic stated out in full: sum p·C_p over the environment
+        # components, check it at the dilation's tolerance, decompose it.
+        # The channel must carry exactly these bits.
+        rng = np.random.default_rng([31, d_in, d_fin, d_env])
+        env_side = d_fin * max(d_env, 1)
+        dil = Dilation(
+            d_in, d_fin, d_env,
+            haar_unitary(d_in * env_side, rng),
+            random_density_matrix(env_side, rng),
+        )
+        choi = np.zeros((d_in * d_fin,) * 2, dtype=complex)
+        for p, _, component in _env_components(dil):
+            choi += p * component
+        wanted = Channel.from_choi(ChoiMatrix(d_in, d_fin, choi, atol=max(dil.atol, CHANNEL)))
+        got = channel_from_dilation(dil)
+        assert len(got.kraus) == len(wanted.kraus)
+        for a, b in zip(got.kraus.operators, wanted.kraus.operators):
+            assert a.tobytes() == b.tobytes()
 
     def test_result_is_minimal(self):
         rng = np.random.default_rng(1)
