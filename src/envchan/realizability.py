@@ -25,6 +25,9 @@ the iterates follow the curved valley around a zero residual instead of
 zigzagging across it, and a realizable target needs tens of steps, not
 hundreds. A restart stops once a step lowers ‖R‖² by at most 1e-4 of
 itself or barely moves the point, or after ``max_iters`` trial steps.
+One gather table (``_projected_terms``) reads R's entries out of G, its
+derivatives and its second derivative, with the projection onto p folded
+in, so R's diagonal still sums to zero over the input index for every s.
 Each restart's end point is decoded into a unitary and a spectrum, and its
 Choi distance to the target is re-checked: the dilation's Choi matrix,
 summed from U's entries and checked as CP and TP, is compared with the
@@ -232,14 +235,21 @@ def _spectrum(g: np.ndarray, d: int, dp: int) -> np.ndarray:
     return g.diagonal().real.reshape(d, dp).sum(axis=0) / d
 
 
-@lru_cache(maxsize=None)
-def _residual_terms(n: int, blocks: int = 1):
+def _read_only(*arrays):
+    """``arrays``, marked read-only: a cached table is shared by every
+    caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _hermitian_terms(n: int, blocks: int):
     """Flat indices (n², blocks) into the real view of an n × blocks·n
     complex matrix h, and weights (n², 1), such that column q of r = h[a]·u
     + h[b]·w lists the n² independent real entries of the Hermitian part of
     h's block q (its columns q·n to q·n + n − 1): its diagonal, then √2
-    times the real and the imaginary parts of its upper triangle. Built once
-    per (n, blocks), read-only."""
+    times the real and the imaginary parts of its upper triangle. Built
+    fresh and writable; ``_residual_terms`` caches them."""
     rows, cols = np.triu_indices(n, 1)
     width, pairs, half = blocks * n, len(rows), np.sqrt(0.5)
     upper, lower = rows * width + cols, cols * width + rows
@@ -249,9 +259,35 @@ def _residual_terms(n: int, blocks: int = 1):
     b = 2 * (np.concatenate([diag, lower, lower])[:, None] + start) + imag
     u = np.repeat([0.5, half, half], [n, pairs, pairs])[:, None]
     w = np.repeat([0.5, half, -half], [n, pairs, pairs])[:, None]
-    for array in (a, b, u, w):
-        array.flags.writeable = False
     return a, b, u, w
+
+
+@lru_cache(maxsize=None)
+def _residual_terms(n: int, blocks: int = 1):
+    """``_hermitian_terms(n, blocks)``, built once per (n, blocks),
+    read-only."""
+    return _read_only(*_hermitian_terms(n, blocks))
+
+
+@lru_cache(maxsize=None)
+def _projected_terms(d: int, dp: int, blocks: int):
+    """``_hermitian_terms(d·dp, blocks)`` with the projection onto p =
+    ``_spectrum(H)`` folded in: (a, b, u, w, extra) such that h[a]·u +
+    h[b]·w, less h[c]/d on the n diagonal rows for each c in ``extra``, is
+    r of R = H − I_d ⊗ diag(p). Diagonal row (x, s) takes H_(x,s) at
+    1 − 1/d, H_(x+1,s) at −1/d and, from ``extra``, H_(x+j,s) at −1/d for
+    j = 2 … d − 1 (mod d; none at d = 2): H_(x,s) less its mean over x,
+    so Σ_x r_(x,s) = 0. At d = 1, x + 1 wraps to x itself and weighs 0:
+    the diagonal rows are 0. The rows past the diagonal are those of
+    ``_residual_terms``. Built once per (d, dp, blocks), read-only."""
+    n = d * dp
+    a, b, u, w = _hermitian_terms(n, blocks)
+    diag = a[:n]
+    b[:n] = np.roll(diag, -dp, axis=0)
+    u[:n] = 1.0 - 1.0 / d
+    w[:n] = -1.0 / d if d > 1 else 0.0
+    extra = tuple(np.roll(diag, -j * dp, axis=0) for j in range(2, d))
+    return _read_only(a, b, u, w) + (_read_only(*extra),)
 
 
 def _residual_vector(h: np.ndarray, d: int, dp: int) -> np.ndarray:
@@ -260,14 +296,22 @@ def _residual_vector(h: np.ndarray, d: int, dp: int) -> np.ndarray:
     diagonal, then √2 times the real and the imaginary parts of its upper
     triangle, so that ‖r‖² = ‖R‖². h may hold m such matrices side by side
     (n × m·n); r then has one column for each, through
-    ``_residual_terms(n, m)``."""
+    ``_projected_terms(d, dp, m)``. The projection onto p is part of that
+    gather table, so r is one gather-multiply-add (plus d − 2 on the
+    diagonal rows), and Σ_x r_(x,s) = 0 for every s and column: the
+    d_fin linear constraints that J's rank count relies on."""
     n = d * dp
-    a, b, u, w = _residual_terms(n, h.shape[1] // n)
+    a, b, u, w, extra = _projected_terms(d, dp, h.shape[1] // n)
     flat = h.ravel().view(float)
+    # One temporary fewer than r = h[a]·u + h[b]·w: at J's size each is a
+    # fresh allocation costing about as much as a gather. (Scaling h[a] in
+    # place as well made a (4,4) search page-fault 11 times as often.)
     r = flat[a] * u
-    r += flat[b] * w
-    diag = r[:n].reshape(d, dp, -1)
-    diag -= np.add.reduce(diag, axis=0) / d
+    second = flat[b]
+    second *= w
+    r += second
+    for c in extra:
+        r[:n] -= flat[c] / d
     return r
 
 
@@ -296,9 +340,7 @@ def _tangent_basis(n: int, kappa: int):
     unit = np.eye(2 * lower).view(complex)
     basis[top:, kappa:] = unit.reshape(2 * lower, n - kappa, kappa)
     rows = basis.transpose(1, 0, 2).reshape(n, -1)
-    for array in (basis, rows):
-        array.flags.writeable = False
-    return basis, rows
+    return _read_only(basis, rows)
 
 
 def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@
 (its evaluator's residual and Jacobian, its Levenberg–Marquardt solver and
 its decoding included), and the perturbation experiment."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from envchan.realizability import (
     _minimal_kraus_rows,
     _objective_and_grad,
     _polar,
+    _projected_terms,
     _residual,
     _residual_terms,
     _residual_vector,
@@ -326,6 +329,78 @@ class TestGradient:
         assert np.array_equal(stacked, np.column_stack(single))
 
 
+def table_digest(arrays):
+    """A digest of the dtypes, shapes and bytes of a table's arrays."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(str((array.dtype.str, array.shape)).encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()[:16]
+
+
+class TestProjectedTerms:
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("d, dp", [(1, 2), (1, 3), (2, 2), (3, 2), (2, 3), (4, 4)])
+    def test_matches_the_projected_gram_residual(self, d, dp, blocks):
+        # The folded table gives, block by block, the entries of R = H −
+        # I_d ⊗ diag(p) built here from the Hermitian part H, and R's
+        # diagonal sums to zero over x for every s. At d = 1 that diagonal
+        # is 0: the table's wrap to "x + 1" must weigh nothing there.
+        rng = np.random.default_rng([36, d, dp, blocks])
+        n = d * dp
+        h = rng.normal(size=(n, blocks * n)) + 1j * rng.normal(size=(n, blocks * n))
+        r = _residual_vector(h, d, dp)
+        assert r.shape == (n * n, blocks)
+        for q in range(blocks):
+            block = h[:, q * n:(q + 1) * n]
+            wanted = residual_entries(centred((block + block.conj().T) / 2, d, dp))
+            assert np.linalg.norm(r[:, q] - wanted) <= 1e-14 * np.linalg.norm(wanted)
+        sums = r[:n].reshape(d, dp, blocks).sum(axis=0)
+        np.testing.assert_allclose(sums, 0.0, atol=8 * np.finfo(float).eps * abs(h).max())
+
+    @pytest.mark.parametrize("d, dp", [(2, 2), (3, 2), (4, 4)])
+    def test_is_cached_read_only_and_extends_the_unprojected_table(self, d, dp):
+        # Built once per (d, dp, blocks); only the n diagonal rows differ
+        # from ``_residual_terms``, and d − 2 extra tables cover just them.
+        n = d * dp
+        for blocks in (1, 5):
+            terms = _projected_terms(d, dp, blocks)
+            assert _projected_terms(d, dp, blocks) is terms
+            assert _projected_terms(d, dp, blocks + 1) is not terms
+            a, b, u, w, extra = terms
+            plain = _residual_terms(n, blocks)
+            assert np.array_equal(a, plain[0])
+            for folded, unprojected in zip((b, u, w), plain[1:]):
+                assert np.array_equal(folded[n:], unprojected[n:])
+            assert np.all(u[:n] == 1 - 1 / d) and np.all(w[:n] == -1 / d)
+            assert len(extra) == d - 2
+            for table in extra:
+                assert table.shape == (n, blocks)
+            for array in (a, b, u, w, *extra):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0
+
+    def test_unprojected_tables_keep_their_bytes(self):
+        # The projection lives only in ``_projected_terms``:
+        # ``_residual_terms`` and ``_tangent_basis``, which uses it
+        # unprojected, keep these digests.
+        for (n, blocks), digest in {
+            (4, 1): "cfc2e59140cd08a9",
+            (4, 12): "1cad90aad5946cec",
+            (6, 3): "9163353c4c4dc302",
+            (16, 2): "c16940654c945e7d",
+        }.items():
+            assert table_digest(_residual_terms(n, blocks)) == digest
+        for (n, kappa), digest in {
+            (4, 4): "8e09b3aa861082f2",
+            (4, 2): "72532bee512f6caf",
+            (6, 3): "601663b7be247251",
+            (16, 16): "ab031c697090544b",
+        }.items():
+            assert table_digest(_tangent_basis(n, kappa)) == digest
+
+
 class TestCurvature:
     @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (2, 3, 2), (3, 3, 9)])
     def test_matches_central_differences(self, d, dp, kappa):
@@ -523,6 +598,15 @@ class TestSearch:
         target = random_channel(2, 2, np.random.default_rng(seed), kraus_rank=2)
         result = search_mixed_env_realization(target, SearchConfig(restarts=5))
         assert result.verdict == REALIZED
+
+    @pytest.mark.parametrize("dp", [2, 3])
+    def test_state_preparation_channels_are_realized(self, dp):
+        # d_in = 1: every channel prepares one state, which a mixed
+        # environment of the same size always realizes.
+        target = random_channel(1, dp, np.random.default_rng([38, dp]))
+        result = search_mixed_env_realization(target, SearchConfig(restarts=5))
+        assert result.verdict == REALIZED
+        assert result.best_residual < 1e-6
 
     def test_deterministic(self):
         rng = np.random.default_rng(10)
@@ -795,6 +879,20 @@ class TestRealizationResidual:
             realization_residual(target, unitary, [0.7, 0.4])
         with pytest.raises(ValueError, match="not positive semidefinite"):
             realization_residual(target, unitary, [1.2, -0.2])
+
+    def test_spectrum_entry_just_below_zero_weighs_nothing(self):
+        # diag(1 + 1e-11, −1e-11) passes the PSD floor; its negative entry
+        # falls below the environment's spectral cutoff and must count as
+        # 0, contributing neither a NaN nor a term. The distance is then
+        # that of (1 + 1e-11)·C_0, summed here, and moves from its value
+        # at p = (1, 0) by at most 1e-11·‖C_0‖ ≤ 1e-11·d.
+        rng = np.random.default_rng(37)
+        target = realizable_target(2, 2, rng)
+        unitary = haar_unitary(4, rng)
+        edge = realization_residual(target, unitary, [1 + 1e-11, -1e-11])
+        assert np.isfinite(edge)
+        assert edge == pytest.approx(einsum_residual(target, unitary, [1 + 1e-11, 0]), abs=1e-15)
+        assert edge == pytest.approx(realization_residual(target, unitary, [1, 0]), abs=2e-11)
 
 
 class TestPerturbation:
