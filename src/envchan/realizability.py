@@ -249,7 +249,7 @@ def _hermitian_terms(n: int, blocks: int):
     + h[b]·w lists the n² independent real entries of the Hermitian part of
     h's block q (its columns q·n to q·n + n − 1): its diagonal, then √2
     times the real and the imaginary parts of its upper triangle. Built
-    fresh and writable; ``_residual_terms`` caches them."""
+    fresh and writable."""
     rows, cols = np.triu_indices(n, 1)
     width, pairs, half = blocks * n, len(rows), np.sqrt(0.5)
     upper, lower = rows * width + cols, cols * width + rows
@@ -263,13 +263,6 @@ def _hermitian_terms(n: int, blocks: int):
 
 
 @lru_cache(maxsize=None)
-def _residual_terms(n: int, blocks: int = 1):
-    """``_hermitian_terms(n, blocks)``, built once per (n, blocks),
-    read-only."""
-    return _read_only(*_hermitian_terms(n, blocks))
-
-
-@lru_cache(maxsize=None)
 def _projected_terms(d: int, dp: int, blocks: int):
     """``_hermitian_terms(d·dp, blocks)`` with the projection onto p =
     ``_spectrum(H)`` folded in: (a, b, u, w, extra) such that h[a]·u +
@@ -279,7 +272,7 @@ def _projected_terms(d: int, dp: int, blocks: int):
     j = 2 … d − 1 (mod d; none at d = 2): H_(x,s) less its mean over x,
     so Σ_x r_(x,s) = 0. At d = 1, x + 1 wraps to x itself and weighs 0:
     the diagonal rows are 0. The rows past the diagonal are those of
-    ``_residual_terms``. Built once per (d, dp, blocks), read-only."""
+    ``_hermitian_terms``. Built once per (d, dp, blocks), read-only."""
     n = d * dp
     a, b, u, w = _hermitian_terms(n, blocks)
     diag = a[:n]
@@ -324,14 +317,14 @@ def _polar(m: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _tangent_basis(n: int, kappa: int):
     """Coefficients C_q of an orthonormal real basis of the steps dW = V·C
-    at an n×κ isometry W, Q = 2nκ − κ² of them, in two layouts: stacked
-    (Q, n, κ), and side by side (n × Qκ, block q is C_q). C's top κ×κ block
-    is i·H, H Hermitian in the coordinates of ``_residual_terms``, since
-    polar(W + dW) discards a Hermitian one; the real and the imaginary part
-    of each entry of the free lower block follow. Built once per (n, κ),
+    at an n×κ isometry W, Q = 2nκ − κ² of them, in one layout: side by
+    side (n × Qκ, block q is C_q). C's top κ×κ block is i·H, H Hermitian
+    in the coordinates of ``_hermitian_terms``, since polar(W + dW)
+    discards a Hermitian one; the real and the imaginary part of each
+    entry of the free lower block follow. Built once per (n, κ),
     read-only."""
     top, lower = kappa * kappa, (n - kappa) * kappa
-    a, b, u, w = _residual_terms(kappa)
+    a, b, u, w = _hermitian_terms(kappa, 1)
     herm = np.zeros((top, 2 * top))
     herm[np.arange(top)[:, None], a] = u
     herm[np.arange(top)[:, None], b] += w
@@ -339,15 +332,13 @@ def _tangent_basis(n: int, kappa: int):
     basis[:top, :kappa] = 1j * herm.view(complex).reshape(top, kappa, kappa)
     unit = np.eye(2 * lower).view(complex)
     basis[top:, kappa:] = unit.reshape(2 * lower, n - kappa, kappa)
-    rows = basis.transpose(1, 0, 2).reshape(n, -1)
-    return _read_only(basis, rows)
+    return _read_only(basis.transpose(1, 0, 2).reshape(n, -1))[0]
 
 
 def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The tangent dW = V·Σ_q step_q·C_q at w (``_tangent_basis``)."""
-    basis = _tangent_basis(*w.shape)[0]
-    tangent = step @ basis.reshape(len(basis), -1)
-    return _frame(w) @ tangent.reshape(w.shape)
+    n, kappa = w.shape
+    return _frame(w) @ (step @ _tangent_basis(n, kappa).reshape(n, -1, kappa))
 
 
 def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -377,8 +368,9 @@ def _objective_and_grad(w: np.ndarray, fm: np.ndarray, kraus: np.ndarray, d: int
     # (V·[C_0 … C_{Q−1}]).reshape(nQ, κ)·E holds the Kraus rows (t, a, q) of
     # every dF_q, q in the environment slot, so ``_kraus_columns`` lays them
     # side by side in U's layout; one more product gives all of J's columns.
-    basis, rows = _tangent_basis(n, kappa)
-    dfm = _kraus_columns((_frame(w) @ rows).reshape(-1, kappa) @ kraus, d, dp, len(basis))
+    rows = _tangent_basis(n, kappa)
+    steps = (_frame(w) @ rows).reshape(-1, kappa)
+    dfm = _kraus_columns(steps @ kraus, d, dp, rows.shape[1] // kappa)
     h = 2.0 * fm.conj().T @ dfm.reshape(n, -1)
     return _residual_vector(h, d, dp)
 

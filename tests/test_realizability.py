@@ -32,12 +32,12 @@ from envchan.realizability import (
     _curvature,
     _decode_point,
     _frame,
+    _hermitian_terms,
     _minimal_kraus_rows,
     _objective_and_grad,
     _polar,
     _projected_terms,
     _residual,
-    _residual_terms,
     _residual_vector,
     _retract,
     _tangent_basis,
@@ -90,6 +90,13 @@ def random_isometry(n, kappa, rng):
     draws its start points."""
     real, imag = rng.normal(size=(2, n, kappa))
     return _polar(real + 1j * imag)
+
+
+def tangent_steps(w):
+    """The Q steps dW_q = V·C_q at the isometry w, stacked (Q, n, κ), from
+    the side-by-side blocks C_q of ``_tangent_basis``."""
+    n, kappa = w.shape
+    return _frame(w) @ _tangent_basis(n, kappa).reshape(n, -1, kappa).transpose(1, 0, 2)
 
 
 class TestParameterCount:
@@ -250,7 +257,9 @@ class TestGradient:
         assert check_residual_and_jacobian(w, kraus, d, dp) > 0.0
 
     @pytest.mark.parametrize(
-        "d, dp, kappa", [(2, 2, 4), (2, 2, 2), (3, 2, 3), (2, 3, 2), (3, 3, 9), (4, 4, 16)]
+        "d, dp, kappa",
+        [(2, 2, 4), (2, 2, 2), (3, 2, 3), (2, 3, 2), (3, 3, 9), (4, 4, 16),
+         (1, 2, 2), (1, 3, 2), (1, 3, 3)],
     )
     def test_matches_column_by_column_formula(self, d, dp, kappa):
         # Column q of J is the residual entries of dR_q = dG_q − I_d ⊗
@@ -263,7 +272,7 @@ class TestGradient:
         w = random_isometry(n, kappa, rng)
         fm = u_columns(w @ kraus, d, dp)
         columns = []
-        for step in _frame(w) @ _tangent_basis(n, kappa)[0]:
+        for step in tangent_steps(w):
             dg = fm.conj().T @ u_columns(step @ kraus, d, dp)
             columns.append(residual_entries(centred(dg + dg.conj().T, d, dp)))
         jac = _objective_and_grad(w, _residual(w, kraus, d, dp)[1], kraus, d, dp)
@@ -276,7 +285,7 @@ class TestGradient:
         # them (W†dW anti-Hermitian); the retraction keeps an isometry.
         rng = np.random.default_rng([19, n, kappa])
         w = random_isometry(n, kappa, rng)
-        steps = _frame(w) @ _tangent_basis(n, kappa)[0]
+        steps = tangent_steps(w)
         assert len(steps) == 2 * n * kappa - kappa * kappa
         flat = steps.reshape(len(steps), -1)
         gram = (flat.conj() @ flat.T).real
@@ -296,21 +305,20 @@ class TestGradient:
     @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (2, 3, 2)])
     def test_jacobian_tables_are_cached_and_read_only(self, d, dp, kappa):
         # The residual's entries for one block and for the Q blocks of J,
-        # and the tangent basis in both layouts, are built once per argument
-        # and shared, so no caller may write to them.
-        n = d * dp
-        basis, rows = tables = _tangent_basis(n, kappa)
-        assert _tangent_basis(n, kappa) is tables
-        assert _tangent_basis(n, kappa - 1) is not tables
-        assert basis.shape == (2 * n * kappa - kappa * kappa, n, kappa)
-        assert rows.shape == (n, len(basis) * kappa)
-        arrays = list(tables)
-        for blocks in (1, len(basis)):
-            terms = _residual_terms(n, blocks)
-            assert _residual_terms(n, blocks) is terms
-            assert _residual_terms(n + 1, blocks) is not terms
+        # and the tangent basis, are built once per argument and shared, so
+        # no caller may write to them.
+        n, count = d * dp, 2 * d * dp * kappa - kappa * kappa
+        rows = _tangent_basis(n, kappa)
+        assert _tangent_basis(n, kappa) is rows
+        assert _tangent_basis(n, kappa - 1) is not rows
+        assert rows.shape == (n, count * kappa)
+        arrays = [rows]
+        for blocks in (1, count):
+            terms = _projected_terms(d, dp, blocks)
+            assert _projected_terms(d, dp, blocks) is terms
+            assert _projected_terms(d, dp + 1, blocks) is not terms
             assert terms[0].shape == (n * n, blocks)
-            arrays += terms
+            arrays += terms[:4] + terms[4]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -361,14 +369,14 @@ class TestProjectedTerms:
     @pytest.mark.parametrize("d, dp", [(2, 2), (3, 2), (4, 4)])
     def test_is_cached_read_only_and_extends_the_unprojected_table(self, d, dp):
         # Built once per (d, dp, blocks); only the n diagonal rows differ
-        # from ``_residual_terms``, and d − 2 extra tables cover just them.
+        # from ``_hermitian_terms``, and d − 2 extra tables cover just them.
         n = d * dp
         for blocks in (1, 5):
             terms = _projected_terms(d, dp, blocks)
             assert _projected_terms(d, dp, blocks) is terms
             assert _projected_terms(d, dp, blocks + 1) is not terms
             a, b, u, w, extra = terms
-            plain = _residual_terms(n, blocks)
+            plain = _hermitian_terms(n, blocks)
             assert np.array_equal(a, plain[0])
             for folded, unprojected in zip((b, u, w), plain[1:]):
                 assert np.array_equal(folded[n:], unprojected[n:])
@@ -383,7 +391,7 @@ class TestProjectedTerms:
 
     def test_unprojected_tables_keep_their_bytes(self):
         # The projection lives only in ``_projected_terms``:
-        # ``_residual_terms`` and ``_tangent_basis``, which uses it
+        # ``_hermitian_terms`` and ``_tangent_basis``, which uses it
         # unprojected, keep these digests.
         for (n, blocks), digest in {
             (4, 1): "cfc2e59140cd08a9",
@@ -391,14 +399,14 @@ class TestProjectedTerms:
             (6, 3): "9163353c4c4dc302",
             (16, 2): "c16940654c945e7d",
         }.items():
-            assert table_digest(_residual_terms(n, blocks)) == digest
+            assert table_digest(_hermitian_terms(n, blocks)) == digest
         for (n, kappa), digest in {
-            (4, 4): "8e09b3aa861082f2",
-            (4, 2): "72532bee512f6caf",
-            (6, 3): "601663b7be247251",
-            (16, 16): "ab031c697090544b",
+            (4, 4): "5ce02ae01102d202",
+            (4, 2): "4ded8cd57622f5c1",
+            (6, 3): "0f9eef6abf298cc2",
+            (16, 16): "ec74a2bab4f75687",
         }.items():
-            assert table_digest(_tangent_basis(n, kappa)) == digest
+            assert table_digest((_tangent_basis(n, kappa),)) == digest
 
 
 class TestCurvature:
