@@ -16,24 +16,24 @@ I_d ⊗ diag(p), to zero by Levenberg–Marquardt (``minimize``, NumPy only),
 multi-restarted from seeded random isometries. Steps dW = [W, W⊥]·C are
 taken in a chart centred at W and retracted to polar(W + dW) (Absil,
 Mahony & Sepulchre 2008, ch. 4); F = W·E is linear in W, so the Jacobian
-is plain linear algebra. Every point costs one residual, which an accepted
-step keeps with its Kraus columns for the Jacobian and the curvature; the
-Jacobian is built at the start point and at accepted points that do not
-end the restart. Once ‖R‖² < 1e-2, each step adds half the geodesic
-acceleration along the retraction (Transtrum & Sethna 2012), so
-the iterates follow the curved valley around a zero residual instead of
-zigzagging across it, and a realizable target needs tens of steps, not
-hundreds. A restart stops once a step lowers ‖R‖² by at most 1e-4 of
-itself or barely moves the point, or after ``max_iters`` trial steps.
-One gather table (``_projected_terms``) reads R's entries out of G, its
-derivatives and its second derivative, with the projection onto p folded
-in, so R's diagonal still sums to zero over the input index for every s.
-Each restart's end point is decoded into a unitary and a spectrum, and its
-Choi distance to the target is re-checked: the dilation's Choi matrix,
-summed from U's entries and checked as CP and TP, is compared with the
-target's. The re-checked residuals alone decide the early stop and the
-verdict, against two thresholds. LIKELY_NOT_REALIZABLE is numerical
-evidence from a local search, never a proof.
+is plain linear algebra. Every point costs one residual, which builds its
+state (Fm, V): the Kraus columns and the frame V = [W, W⊥] that the
+Jacobian, the curvature, the retraction and the decoding read; J is built at
+the start point and at accepted points that do not end the restart. Once
+‖R‖² < 1e-2, each step adds half the geodesic acceleration along the
+retraction (Transtrum & Sethna 2012), so the iterates follow the curved
+valley around a zero residual instead of zigzagging across it, and a
+realizable target needs tens of steps, not hundreds. A restart stops once a
+step lowers ‖R‖² by at most 1e-4 of itself or barely moves the point, or
+after ``max_iters`` trial steps. One gather table (``_projected_terms``)
+reads R's entries out of G, its derivatives and its second derivative, with
+the projection onto p folded in, so R's diagonal still sums to zero over the
+input index for every s. Each restart's end point is decoded into a unitary
+and a spectrum, and its Choi distance to the target is re-checked: the
+dilation's Choi matrix, summed from U's entries and checked as CP and TP, is
+compared with the target's. The re-checked residuals alone decide the early
+stop and the verdict, against two thresholds. LIKELY_NOT_REALIZABLE is
+numerical evidence from a local search, never a proof.
 """
 
 from __future__ import annotations
@@ -76,12 +76,13 @@ _ACCELERATION_RATIO = 0.75
 class LeastSquaresResult:
     """End point of one ``minimize`` run: ``status`` is 0 when a stop rule
     fired and 1 when ``maxiter`` trial steps ran out; ``nit`` counts trial
-    steps and ``nfev`` evaluations of the residual, nit + 1."""
+    steps, ``nfev`` residual evaluations (nit + 1); ``state`` is x's."""
 
     x: np.ndarray
     status: int
     nit: int
     nfev: int
+    state: object
 
 
 def minimize(
@@ -90,11 +91,11 @@ def minimize(
     """Levenberg–Marquardt on ‖r(x)‖², with geodesic acceleration near a
     zero residual: ``residual(x, *args)`` returns (r, state), the real
     residual vector r at x and what the other callbacks reuse of the point
-    (the search's Kraus columns Fm; ``None`` if nothing), ``jacobian(x,
-    state, *args)`` only r's Jacobian J over real step coordinates,
-    ``curvature(x, state, δ, *args)`` the second derivative r_δδ of r along
-    t ↦ ``retract(x, t·δ)`` at t = 0, and ``retract(x, δ)`` the point a
-    step δ leads to (``np.add`` on ℝⁿ).
+    (the search's Kraus columns and frame (Fm, V); ``None`` if nothing),
+    ``jacobian(x, state, *args)`` only r's Jacobian J over real step
+    coordinates, ``curvature(x, state, δ, *args)`` the second derivative
+    r_δδ of r along t ↦ ``retract(x, state, t·δ)`` at t = 0, and
+    ``retract(x, state, δ)`` the point a step δ leads to (x + δ on ℝⁿ).
 
     Each trial step solves (JᵀJ + μI)v = −Jᵀr. Once ‖r‖² <
     ``_ACCELERATE_BELOW``, it also solves (JᵀJ + μI)a = −Jᵀr_vv with the same
@@ -135,7 +136,7 @@ def minimize(
             accel = -np.linalg.solve(gram, jac.T @ curvature(x, state, step, *args))
             if 2.0 * math.sqrt(accel @ accel) <= _ACCELERATION_RATIO * step_norm:
                 move = step + 0.5 * accel
-        trial = retract(x, move)
+        trial = retract(x, state, move)
         trial_r, trial_state = residual(trial, *args)
         nfev += 1
         trial_cost = float(trial_r @ trial_r)
@@ -153,7 +154,7 @@ def minimize(
         else:
             mu *= nu
             nu *= 2.0
-    return LeastSquaresResult(x=x, status=0 if converged else 1, nit=nit, nfev=nfev)
+    return LeastSquaresResult(x, 0 if converged else 1, nit, nfev, state)
 
 
 def _check_count(name: str, value) -> None:
@@ -335,77 +336,76 @@ def _tangent_basis(n: int, kappa: int):
     return _read_only(basis.transpose(1, 0, 2).reshape(n, -1))[0]
 
 
-def _tangent(w: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """The tangent dW = V·Σ_q step_q·C_q at w (``_tangent_basis``)."""
+def _tangent(w: np.ndarray, v: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The tangent dW = V·Σ_q step_q·C_q at w in its frame v (``_tangent_basis``)."""
     n, kappa = w.shape
-    return _frame(w) @ (step @ _tangent_basis(n, kappa).reshape(n, -1, kappa))
+    return v @ (step @ _tangent_basis(n, kappa).reshape(n, -1, kappa))
 
 
-def _retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """polar(W + dW), with dW = ``_tangent(w, step)``."""
-    return _polar(w + _tangent(w, step))
+def _retract(w: np.ndarray, state, step: np.ndarray) -> np.ndarray:
+    """polar(W + dW), with dW = ``_tangent`` in the V of w's state (Fm, V)."""
+    return _polar(w + _tangent(w, state[1], step))
 
 
 def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
-    """(r, Fm): the residual r of R = G − I_d ⊗ diag(p) at the n×κ isometry
-    w, and the point's state for ``minimize``: G = Fm†Fm for Fm the Kraus
-    set F = w·E (``kraus`` holds the rows vec(E_j)) in U's layout, p =
-    ``_spectrum(G)``. ‖r‖² is zero exactly when Fm's columns, scaled by
-    1/√p_s, are orthonormal: then they are columns of a unitary that
-    realizes the target with spectrum p."""
+    """(r, (Fm, V)): the residual r of R = G − I_d ⊗ diag(p) at the n×κ
+    isometry w, and the point's state: G = Fm†Fm for Fm the Kraus set F =
+    w·E (``kraus`` holds the rows vec(E_j)) in U's layout, p =
+    ``_spectrum(G)``, and w's frame V = ``_frame(w)``, built only here.
+    ‖r‖² is zero exactly when Fm's columns, scaled by 1/√p_s, are
+    orthonormal: then they are columns of a unitary that realizes the
+    target with spectrum p."""
     fm = _kraus_columns(w @ kraus, d, dp)
-    return _residual_vector(fm.conj().T @ fm, d, dp)[:, 0], fm
+    return _residual_vector(fm.conj().T @ fm, d, dp)[:, 0], (fm, _frame(w))
 
 
-def _objective_and_grad(w: np.ndarray, fm: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+def _objective_and_grad(w: np.ndarray, state, kraus: np.ndarray, d: int, dp: int):
     """The exact Jacobian J of ``_residual`` at w, its derivative along each
     dW_q = V·C_q of ``_tangent_basis``, which is also its derivative
-    through ``_retract``; ``fm`` is w's Fm from ``_residual``. J only:
-    ``minimize`` keeps r from ``_residual``. The name is kept because the
-    benchmark traces it."""
-    n, kappa = w.shape
+    through ``_retract``; ``state`` is w's (Fm, V) from ``_residual``. J
+    only: ``minimize`` keeps r from ``_residual``. The name is kept because
+    the benchmark traces it."""
+    (n, kappa), (fm, v) = w.shape, state
     # F = W·E is linear in W, so dF_q = V·C_q·E and dG_q = Fm†dFm_q + h.c.
     # (V·[C_0 … C_{Q−1}]).reshape(nQ, κ)·E holds the Kraus rows (t, a, q) of
     # every dF_q, q in the environment slot, so ``_kraus_columns`` lays them
     # side by side in U's layout; one more product gives all of J's columns.
     rows = _tangent_basis(n, kappa)
-    steps = (_frame(w) @ rows).reshape(-1, kappa)
+    steps = (v @ rows).reshape(-1, kappa)
     dfm = _kraus_columns(steps @ kraus, d, dp, rows.shape[1] // kappa)
     h = 2.0 * fm.conj().T @ dfm.reshape(n, -1)
     return _residual_vector(h, d, dp)
 
 
 def _curvature(
-    w: np.ndarray, fm: np.ndarray, step: np.ndarray, kraus: np.ndarray, d: int, dp: int
+    w: np.ndarray, state, step: np.ndarray, kraus: np.ndarray, d: int, dp: int
 ) -> np.ndarray:
     """r_vv: the second derivative of ``_residual`` along the retraction
-    curve t ↦ polar(W + tZ) at t = 0, for Z = ``_tangent(w, step)`` and
-    ``fm`` w's Fm from ``_residual``.
+    curve t ↦ polar(W + tZ) at t = 0, for Z = ``_tangent`` along step and
+    ``state`` w's (Fm, V) from ``_residual``.
 
     W†Z is anti-Hermitian, so (W + tZ)†(W + tZ) = I + t²Z†Z and the curve is
     W + tZ − (t²/2)·W·Z†Z + O(t³): W' = Z and W'' = −W·Z†Z. F = W·E is
     linear in W, so Fm' and Fm'' are Z·E and W''·E in U's layout, and G'' =
     2·Fm'†Fm' + Fm†Fm'' + h.c. is the Hermitian part of 2·Fm†Fm'' +
     2·Fm'†Fm', whose residual entries are r_vv."""
-    z = _tangent(w, step)
+    fm, v = state
+    z = _tangent(w, v, step)
     dfm = _kraus_columns(z @ kraus, d, dp)
     ddfm = _kraus_columns(-w @ (z.conj().T @ z) @ kraus, d, dp)
     h = 2.0 * (fm.conj().T @ ddfm + dfm.conj().T @ dfm)
     return _residual_vector(h, d, dp)[:, 0]
 
 
-def _decode_point(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
-    """The realization (U, p) at the isometry w: p = ``_spectrum(G)`` and U
-    the polar factor of Fm with column (i, s) scaled by 1/√p_s. Columns with
-    p_s ≤ ``ENV_SPECTRUM_CUTOFF`` are left zero, since scaling their
-    round-off by 1/√p_s would amplify it into a non-realization; the polar
-    factor completes them. p is normalized because E lacks the Choi
-    eigenvalues below the Kraus rank cutoff."""
-    fm = _kraus_columns(w @ kraus, d, dp)
+def _decode_point(fm: np.ndarray, d: int, dp: int):
+    """The realization (U, p) at the point whose state has Kraus columns fm:
+    p = ``_spectrum(G)`` and U the polar factor of Fm with column (i, s)
+    scaled by 1/√p_s. Columns with p_s ≤ ``ENV_SPECTRUM_CUTOFF`` are left
+    zero, since scaling their round-off by 1/√p_s would amplify it into a
+    non-realization; the polar factor completes them. p is normalized
+    because E lacks the Choi eigenvalues below the Kraus rank cutoff."""
     p = _spectrum(fm.conj().T @ fm, d, dp)
-    scale = np.divide(
-        1.0, np.sqrt(p), out=np.zeros(dp), where=p > ENV_SPECTRUM_CUTOFF
-    )
+    scale = np.divide(1.0, np.sqrt(p), out=np.zeros(dp), where=p > ENV_SPECTRUM_CUTOFF)
     return _polar(fm * np.tile(scale, d)), p / p.sum()
 
 
@@ -450,8 +450,7 @@ def search_mixed_env_realization(
     d, dp = target.d_in, target.d_out
     kraus = _minimal_kraus_rows(target)
 
-    best = None
-    history = []
+    best, history = None, []
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])
         real, imag = rng.normal(scale=1.0, size=(2, d * dp, len(kraus)))
@@ -464,7 +463,7 @@ def search_mixed_env_realization(
             retract=_retract,
             options={"maxiter": config.max_iters},
         )
-        unitary, spectrum = _decode_point(res.x, kraus, d, dp)
+        unitary, spectrum = _decode_point(res.state[0], d, dp)
         residual = float(realization_residual(target, unitary, spectrum))
         history.append(residual)
         if best is None or residual < best[0]:
@@ -522,8 +521,9 @@ def perturbation_experiment(
 
     Each sample mixes the center with a random channel at a weight drawn
     uniformly from (0, radius], which stays inside the convex set of
-    channels by construction. Deterministic given (config.seed, radius,
-    n_samples).
+    channels by construction. Sample k draws only from its own generator,
+    ``default_rng([config.seed, k, 1])``, and runs the config's search, so
+    it does not depend on ``n_samples`` and can be re-run alone.
 
     Raises:
         ValueError: "radius too large" if radius ≥ 1 or is NaN; "radius

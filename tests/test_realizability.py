@@ -203,8 +203,8 @@ def check_residual_and_jacobian(w, kraus, d, dp, eps=1e-6):
     central differences of the independent r along the retraction; returns
     ‖r‖²."""
     n, kappa = w.shape
-    residual, fm = _residual(w, kraus, d, dp)
-    jac = _objective_and_grad(w, fm, kraus, d, dp)
+    residual, state = _residual(w, kraus, d, dp)
+    jac = _objective_and_grad(w, state, kraus, d, dp)
     expected = gram_residual(w, kraus, d, dp)
     np.testing.assert_allclose(residual, residual_entries(expected), atol=1e-12)
     norm = np.vdot(expected, expected).real
@@ -215,8 +215,8 @@ def check_residual_and_jacobian(w, kraus, d, dp, eps=1e-6):
     for k in range(jac.shape[1]):
         step = np.zeros(jac.shape[1])
         step[k] = eps
-        up = residual_entries(gram_residual(_retract(w, step), kraus, d, dp))
-        down = residual_entries(gram_residual(_retract(w, -step), kraus, d, dp))
+        up = residual_entries(gram_residual(_retract(w, state, step), kraus, d, dp))
+        down = residual_entries(gram_residual(_retract(w, state, -step), kraus, d, dp))
         fd[:, k] = (up - down) / (2 * eps)
     assert np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1.0) < 1e-6
     return norm
@@ -292,7 +292,7 @@ class TestGradient:
         np.testing.assert_allclose(gram, np.eye(len(steps)), atol=1e-12)
         inner = w.conj().T @ steps
         np.testing.assert_allclose(inner, -inner.conj().transpose(0, 2, 1), atol=1e-12)
-        moved = _retract(w, rng.normal(size=len(steps)))
+        moved = _retract(w, (None, _frame(w)), rng.normal(size=len(steps)))
         np.testing.assert_allclose(moved.conj().T @ moved, np.eye(kappa), atol=1e-12)
 
     @pytest.mark.parametrize("n, kappa", [(9, 3), (6, 1)])
@@ -421,37 +421,42 @@ class TestCurvature:
         kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
         w = random_isometry(n, kappa, rng)
         step = rng.normal(size=2 * n * kappa - kappa * kappa)
-        residual, fm = _residual(w, kraus, d, dp)
+        residual, state = _residual(w, kraus, d, dp)
         fd = (
-            _residual(_retract(w, h * step), kraus, d, dp)[0]
+            _residual(_retract(w, state, h * step), kraus, d, dp)[0]
             - 2.0 * residual
-            + _residual(_retract(w, -h * step), kraus, d, dp)[0]
+            + _residual(_retract(w, state, -h * step), kraus, d, dp)[0]
         ) / (h * h)
-        curvature = _curvature(w, fm, step, kraus, d, dp)
+        curvature = _curvature(w, state, step, kraus, d, dp)
         assert np.linalg.norm(curvature - fd) <= 1e-5 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (4, 4, 16)])
     def test_point_state_matches_fresh_kraus_columns(self, d, dp, kappa):
-        # ``minimize`` hands J and the curvature the Fm that ``_residual``
-        # built at the same point. The reference is that Fm built afresh,
-        # ``_kraus_columns(w @ kraus, d, dp)``: given either, J and the
-        # curvature must give the same bits.
+        # ``minimize`` hands J, the curvature and the retraction the state
+        # (Fm, V) that ``_residual`` built at the same point. The reference
+        # is that state built afresh, ``_kraus_columns(w @ kraus, d, dp)``
+        # and ``complete_unitary(w)``: given either, J, the curvature and
+        # the retraction must give the same bits, κ < n included.
         rng = np.random.default_rng([24, d, dp, kappa])
         n = d * dp
         kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
         w = random_isometry(n, kappa, rng)
         step = rng.normal(size=2 * n * kappa - kappa * kappa)
-        residual, fm = _residual(w, kraus, d, dp)
-        fresh = _kraus_columns(w @ kraus, d, dp)
-        assert np.array_equal(fm, fresh)
-        assert np.array_equal(residual, _residual_vector(fresh.conj().T @ fresh, d, dp)[:, 0])
+        residual, state = _residual(w, kraus, d, dp)
+        fresh = (_kraus_columns(w @ kraus, d, dp), complete_unitary(w))
+        assert np.array_equal(state[0], fresh[0])
+        assert np.array_equal(state[1], fresh[1])
         assert np.array_equal(
-            _objective_and_grad(w, fm, kraus, d, dp),
+            residual, _residual_vector(fresh[0].conj().T @ fresh[0], d, dp)[:, 0]
+        )
+        assert np.array_equal(
+            _objective_and_grad(w, state, kraus, d, dp),
             _objective_and_grad(w, fresh, kraus, d, dp),
         )
         assert np.array_equal(
-            _curvature(w, fm, step, kraus, d, dp), _curvature(w, fresh, step, kraus, d, dp)
+            _curvature(w, state, step, kraus, d, dp), _curvature(w, fresh, step, kraus, d, dp)
         )
+        assert np.array_equal(_retract(w, state, step), _retract(w, fresh, step))
 
 
 class TestDecode:
@@ -463,11 +468,11 @@ class TestDecode:
         rng = np.random.default_rng([17, d, dp])
         spectrum = rng.dirichlet(np.ones(dp))
         target, kraus, w = realizable_point(d, dp, spectrum, rng)
-        residual, fm = _residual(w, kraus, d, dp)
-        jac = _objective_and_grad(w, fm, kraus, d, dp)
+        residual, state = _residual(w, kraus, d, dp)
+        jac = _objective_and_grad(w, state, kraus, d, dp)
         assert residual @ residual < 1e-26
         assert np.linalg.norm(jac.T @ residual) < 1e-12
-        unitary, decoded = _decode_point(w, kraus, d, dp)
+        unitary, decoded = _decode_point(state[0], d, dp)
         np.testing.assert_allclose(decoded, spectrum, atol=1e-12)
         assert realization_residual(target, unitary, decoded) < 1e-12
 
@@ -476,7 +481,7 @@ class TestDecode:
         # divide by zero, and the polar factor completes those columns.
         rng = np.random.default_rng(18)
         target, kraus, w = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
-        unitary, spectrum = _decode_point(w, kraus, 2, 2)
+        unitary, spectrum = _decode_point(_residual(w, kraus, 2, 2)[1][0], 2, 2)
         assert spectrum[1] == 0.0
         dilation = Dilation(
             d_in=2,
@@ -495,7 +500,7 @@ class TestDecode:
         rng = np.random.default_rng(18)
         target, kraus, w = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
         w[2:] = 1e-11 * (rng.normal(size=w[2:].shape) + 1j * rng.normal(size=w[2:].shape))
-        unitary, spectrum = _decode_point(w, kraus, 2, 2)
+        unitary, spectrum = _decode_point(_residual(w, kraus, 2, 2)[1][0], 2, 2)
         assert 0.0 < spectrum[1] <= ENV_SPECTRUM_CUTOFF
         assert realization_residual(target, unitary, spectrum) < 1e-9
 
@@ -516,8 +521,16 @@ def rosenbrock_curvature(x, state, v):
     return np.array([-20.0 * v[0] ** 2, 0.0])
 
 
-# Run on ℝⁿ, where a step's retraction is x + δ.
-EUCLIDEAN = {"residual": rosenbrock, "curvature": rosenbrock_curvature, "retract": np.add}
+def euclidean_retract(x, state, step):
+    """The retraction on ℝⁿ: x + δ, whatever the state."""
+    return x + step
+
+
+EUCLIDEAN = {
+    "residual": rosenbrock,
+    "curvature": rosenbrock_curvature,
+    "retract": euclidean_retract,
+}
 
 
 class TestMinimize:
@@ -529,6 +542,7 @@ class TestMinimize:
         np.testing.assert_allclose(res.x, [1.0, 1.0], atol=1e-10)
         assert 0 < res.nit < 200
         assert res.nfev == res.nit + 1
+        assert res.state is rosenbrock(res.x)[1] is None
 
     def test_capped_run_reports_status_one(self):
         res = minimize(
@@ -562,7 +576,7 @@ class TestMinimize:
             args=(1.0,),
             residual=line,
             curvature=lambda x, state, v, shift: np.zeros(3),
-            retract=np.add,
+            retract=euclidean_retract,
             options={"maxiter": 100},
         )
         assert res.status == 0
@@ -698,22 +712,22 @@ class TestSearch:
         objective, residual = realizability._objective_and_grad, realizability._residual
         curvature, minimize = realizability._curvature, realizability.minimize
 
-        def counted_objective(w, fm, *args):
+        def counted_objective(w, state, *args):
             r, own = residual(w, *args)
-            assert np.array_equal(fm, own)  # the state of this point
+            assert all(map(np.array_equal, state, own))  # the state of this point
             calls.append(("jacobian", r @ r))
-            return objective(w, fm, *args)
+            return objective(w, state, *args)
 
-        def counted_curvature(w, fm, step, *args):
+        def counted_curvature(w, state, step, *args):
             r, own = residual(w, *args)
-            assert np.array_equal(fm, own)
+            assert all(map(np.array_equal, state, own))
             calls.append(("curvature", r @ r))
-            return curvature(w, fm, step, *args)
+            return curvature(w, state, step, *args)
 
         def counted_residual(*args):
-            r, fm = residual(*args)
+            r, state = residual(*args)
             calls.append(("residual", r @ r))
-            return r, fm
+            return r, state
 
         def kept_minimize(*args, **kwargs):
             results.append(minimize(*args, **kwargs))
@@ -779,6 +793,33 @@ class TestSearch:
         assert calls == []
         assert search_mixed_env_realization(identity_channel(2)).verdict == REALIZED
         assert calls
+
+    def test_each_point_is_framed_once(self, monkeypatch):
+        # The frame V = [W, W⊥] is part of the point's state: ``_residual``
+        # builds it once per evaluated point, and J, the curvature and the
+        # retraction read it there. The family members have κ < n, where
+        # each frame is a complete QR.
+        calls = {"frame": 0, "nfev": 0}
+        frame, minimize = realizability._frame, realizability.minimize
+
+        def counted_frame(w):
+            calls["frame"] += 1
+            return frame(w)
+
+        def counted_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            calls["nfev"] += res.nfev
+            return res
+
+        monkeypatch.setattr(realizability, "_frame", counted_frame)
+        monkeypatch.setattr(realizability, "minimize", counted_minimize)
+        for d, dp, spectrum in [(2, 2, [0.5, 0.5]), (3, 2, [0.7, 0.3])]:
+            calls.update(frame=0, nfev=0)
+            member = build_counterexample(CounterexampleParams(d, dp, np.diag(spectrum)))
+            assert len(_minimal_kraus_rows(member)) < d * dp
+            search_mixed_env_realization(member, SearchConfig(restarts=2))
+            assert calls["nfev"] > 0
+            assert calls["frame"] == calls["nfev"]
 
     def test_criterion_08_target_8_does_not_crawl(self, monkeypatch):
         # The ninth criterion-08 target sits in a curved valley near its
@@ -938,6 +979,10 @@ class TestPerturbation:
         b = perturbation_experiment(center, 0.01, 2, config)
         assert a.best_residuals == b.best_residuals
         assert a.verdicts == b.verdicts
+        # Sample k draws only from (config.seed, k): more samples leave the
+        # first ones as they were, so one sample can be re-run alone.
+        more = perturbation_experiment(center, 0.01, 3, config)
+        assert (more.verdicts[:2], more.best_residuals[:2]) == (a.verdicts, a.best_residuals)
 
 
 PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
