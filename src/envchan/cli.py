@@ -2,13 +2,12 @@
 
 Subcommands: build, certify, search, convert, apply, params, perturb.
 Each command returns its payload and ``main`` writes it as JSON to --out
-or standard output: certify, search and perturb a report envelope around
-their results, build, convert and apply the bare file payload, params an
-integer. A report's results are the one result object that the library
-decides, encoded without its None fields: the certificate of
-``certify_channel`` (file) or ``certify_nonrealizable`` (family flags),
-the ``SearchResult`` or the ``PerturbationReport``. Human-oriented errors
-go to standard error, one line each.
+or standard output. certify, search and perturb return the one result
+object that the library decides: the certificate of ``certify_channel``
+(file) or ``certify_nonrealizable`` (family flags), the ``SearchResult``
+or the ``PerturbationReport``. ``main`` wraps it in a report envelope,
+whose fields ``io`` encodes. build, convert and apply return the file
+payload, params an integer. Errors go to standard error, one line each.
 
 ``build counterexample`` and ``certify`` without a channel file take the
 family flags: --d, --d-fin and --rho-target, the comma-separated
@@ -34,7 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import is_dataclass
 from time import perf_counter
 
 import numpy as np
@@ -45,6 +44,7 @@ from .counterexample import (
     INCONCLUSIVE,
     NOT_REALIZABLE,
     CounterexampleParams,
+    NonRealizabilityCertificate,
     build_counterexample,
     certify_channel,
     certify_nonrealizable,
@@ -55,7 +55,9 @@ from .realizability import (
     LIKELY_NOT_REALIZABLE,
     REALIZED,
     UNDECIDED,
+    PerturbationReport,
     SearchConfig,
+    SearchResult,
     parameter_count,
     perturbation_experiment,
     search_mixed_env_realization,
@@ -65,22 +67,6 @@ from .realizability import (
 # module docstring.
 _CERTIFY_EXIT_CODES = {NOT_REALIZABLE: 0, INCONCLUSIVE: 3}
 _SEARCH_EXIT_CODES = {REALIZED: 0, LIKELY_NOT_REALIZABLE: 4, UNDECIDED: 5}
-# Commands whose results main wraps in a report envelope.
-_REPORT_COMMANDS = ("certify", "search", "perturb")
-
-
-def _jsonable(value):
-    """Encode a result for a report: dataclasses become dicts in field
-    order, without the fields that are None, tuples become lists, real
-    arrays nested lists, and complex arrays nested [re, im] pairs."""
-    if is_dataclass(value):
-        items = ((f.name, getattr(value, f.name)) for f in fields(value))
-        return {name: _jsonable(v) for name, v in items if v is not None}
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return io.matrix_to_pairs(value) if np.iscomplexobj(value) else value.tolist()
-    return value
 
 
 def _counterexample_params(args) -> CounterexampleParams:
@@ -127,7 +113,7 @@ def cmd_build(args) -> tuple[dict, int]:
     return io.channel_to_dict(channel), 0
 
 
-def cmd_certify(args) -> tuple[dict, int]:
+def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
     if args.channel is not None:
         family = (args.d, args.d_fin, args.rho_target, args.rho_basis)
         if any(flag is not None for flag in family):
@@ -135,12 +121,12 @@ def cmd_certify(args) -> tuple[dict, int]:
         certificate = certify_channel(_load_channel(args.channel))
     else:
         certificate = certify_nonrealizable(_counterexample_params(args))
-    return _jsonable(certificate), _CERTIFY_EXIT_CODES[certificate.claim]
+    return certificate, _CERTIFY_EXIT_CODES[certificate.claim]
 
 
-def cmd_search(args) -> tuple[dict, int]:
+def cmd_search(args) -> tuple[SearchResult, int]:
     result = search_mixed_env_realization(_load_channel(args.channel), _search_config(args))
-    return _jsonable(result), _SEARCH_EXIT_CODES[result.verdict]
+    return result, _SEARCH_EXIT_CODES[result.verdict]
 
 
 def cmd_convert(args) -> tuple[dict, int]:
@@ -159,11 +145,11 @@ def cmd_params(args) -> tuple[int, int]:
     return parameter_count(args.d, args.d_fin), 0
 
 
-def cmd_perturb(args) -> tuple[dict, int]:
+def cmd_perturb(args) -> tuple[PerturbationReport, int]:
     report = perturbation_experiment(
         _load_channel(args.channel), args.radius, args.samples, _search_config(args)
     )
-    return _jsonable(report), 0
+    return report, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,7 +271,7 @@ def main(argv=None) -> int:
         # add lines before it.
         with np.errstate(over="ignore", invalid="ignore"):
             payload, code = args.func(args)
-        if args.command in _REPORT_COMMANDS:
+        if is_dataclass(payload):
             payload = io._envelope(
                 "report", command=args.command, argv=list(argv),
                 seed=getattr(args, "seed", None),
@@ -295,8 +281,7 @@ def main(argv=None) -> int:
         if out is not None:
             io.save_json(payload, out)
         else:
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
+            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

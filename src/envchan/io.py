@@ -1,14 +1,16 @@
 """JSON serialization of channels, states, dilations, and reports.
 
-All files are UTF-8 JSON with ``format_version: 1``. Complex matrices are
-written as nested lists of ``[re, im]`` pairs; floats use Python's shortest
-round-trip representation, so writing and re-reading is bit-exact.
+All files are UTF-8 JSON with ``format_version: 1``, from one encoder,
+``_jsonable``: complex matrices become nested lists of ``[re, im]`` pairs,
+NumPy scalars Python numbers, and floats their shortest round-trip text, so
+re-reading is bit-exact. ``save_json`` writes a file only once it is encoded.
 Validation of loaded objects uses a looser tolerance (1e-8) than internal
 construction, to absorb decimal round-trips of files produced elsewhere.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from numbers import Real
 
@@ -86,23 +88,37 @@ def _dimension(data: dict, key: str) -> int:
     return value
 
 
+def _jsonable(value):
+    """Encode a file or report field: dataclasses become dicts in field
+    order without their None fields, tuples lists, real arrays nested
+    lists, complex arrays [re, im] pairs, and NumPy scalars ``.item()``."""
+    if dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {name: _jsonable(v) for name, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return matrix_to_pairs(value) if np.iscomplexobj(value) else value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
 def _envelope(kind: str, **fields) -> dict:
-    """The header every written file and report starts with, then ``fields``
-    in the order given."""
-    return {"format_version": FORMAT_VERSION, "kind": kind, **fields}
+    """The header every written file and report starts with, then
+    ``fields`` in the order given, each encoded by ``_jsonable``."""
+    body = {name: _jsonable(value) for name, value in fields.items()}
+    return {"format_version": FORMAT_VERSION, "kind": kind, **body}
 
 
 def channel_to_dict(ch: Channel) -> dict:
     """ChannelFile payload: the Kraus representation."""
-    kraus = [matrix_to_pairs(op) for op in ch.kraus.operators]
-    return _envelope("channel", d_in=ch.d_in, d_out=ch.d_out, kraus=kraus)
+    return _envelope("channel", d_in=ch.d_in, d_out=ch.d_out, kraus=ch.kraus.operators)
 
 
 def choi_to_dict(ch: Channel) -> dict:
     """ChannelFile payload: the Choi representation."""
-    return _envelope(
-        "choi", d_in=ch.d_in, d_out=ch.d_out, choi=matrix_to_pairs(ch.choi.matrix)
-    )
+    return _envelope("choi", d_in=ch.d_in, d_out=ch.d_out, choi=ch.choi.matrix)
 
 
 def channel_from_dict(data: dict) -> Channel:
@@ -131,8 +147,7 @@ def channel_from_dict(data: dict) -> Channel:
 
 
 def state_to_dict(rho) -> dict:
-    rho = np.asarray(rho, dtype=complex)
-    return _envelope("state", dim=rho.shape[0], matrix=matrix_to_pairs(rho))
+    return _envelope("state", dim=len(rho), matrix=np.asarray(rho, dtype=complex))
 
 
 def state_from_dict(data: dict) -> np.ndarray:
@@ -147,7 +162,7 @@ def state_from_dict(data: dict) -> np.ndarray:
 def dilation_to_dict(d: Dilation) -> dict:
     return _envelope(
         "dilation", d_in=d.d_in, d_fin=d.d_fin, d_env=d.d_env,
-        unitary=matrix_to_pairs(d.unitary), env_state=matrix_to_pairs(d.env_state),
+        unitary=d.unitary, env_state=d.env_state,
     )
 
 
@@ -164,9 +179,9 @@ def dilation_from_dict(data: dict) -> Dilation:
 
 
 def save_json(data: dict, path: str) -> None:
+    text = json.dumps(data, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
+        handle.write(text)
 
 
 def load_json(path: str) -> dict:

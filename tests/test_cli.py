@@ -527,12 +527,18 @@ class TestPerturb:
 
 
 class TestReportKeys:
-    """The report encoder must keep each result's keys in this order."""
+    """The report encoder must keep the envelope's keys and each result's
+    keys in this order."""
+
+    ENVELOPE = [
+        "format_version", "kind", "command", "argv", "seed", "duration_seconds", "results",
+    ]
 
     def test_search(self, capsys, counterexample_file):
         _, data, _ = run_json(
             capsys, "search", counterexample_file, "--restarts", "1", "--max-iters", "20"
         )
+        assert list(data) == self.ENVELOPE
         assert list(data["results"]) == [
             "verdict", "best_residual", "residual_history", "best_env_spectrum",
             "best_unitary", "realizable_threshold", "nonrealizable_threshold", "note",
@@ -543,6 +549,7 @@ class TestReportKeys:
             capsys, "perturb", identity_file, "--radius", "0.01", "--samples", "1",
             "--restarts", "1", "--max-iters", "20",
         )
+        assert list(data) == self.ENVELOPE
         assert list(data["results"]) == [
             "radius", "n_samples", "fraction_likely_not_realizable", "verdicts",
             "best_residuals", "residual_min", "residual_max", "residual_mean",
@@ -551,6 +558,8 @@ class TestReportKeys:
 
     def test_certify_with_membership(self, capsys, counterexample_file):
         _, data, _ = run_json(capsys, "certify", counterexample_file)
+        assert list(data) == self.ENVELOPE
+        assert data["seed"] is None
         assert list(data["results"]) == [
             "claim", "excluded_ranks", "narrative", "membership",
         ]
@@ -560,12 +569,16 @@ class TestReportKeys:
 
     def test_certify_inconclusive(self, capsys, identity_file):
         _, data, _ = run_json(capsys, "certify", identity_file)
+        assert list(data) == self.ENVELOPE
+        assert data["seed"] is None
         assert list(data["results"]) == ["claim", "narrative"]
 
     def test_certify_flags(self, capsys):
         _, data, _ = run_json(
             capsys, "certify", "--d", "3", "--d-fin", "2", "--rho-target", "0.5,0.5"
         )
+        assert list(data) == self.ENVELOPE
+        assert data["seed"] is None
         assert list(data["results"]) == ["claim", "excluded_ranks", "narrative"]
 
 

@@ -66,6 +66,7 @@ class TestChannelFiles:
         ch = random_channel(2, 3, rng)
         path = tmp_path / "channel.json"
         save_json(channel_to_dict(ch), path)
+        assert list(load_json(path)) == ["format_version", "kind", "d_in", "d_out", "kraus"]
         loaded = channel_from_dict(load_json(path))
         assert (loaded.d_in, loaded.d_out) == (2, 3)
         assert distance(loaded, ch) < 1e-12
@@ -74,6 +75,7 @@ class TestChannelFiles:
         ch = build_counterexample(CounterexampleParams(2, 2, np.diag([0.5, 0.5])))
         path = tmp_path / "choi.json"
         save_json(choi_to_dict(ch), path)
+        assert list(load_json(path)) == ["format_version", "kind", "d_in", "d_out", "choi"]
         loaded = channel_from_dict(load_json(path))
         assert distance(loaded, ch) < 1e-9
 
@@ -125,6 +127,7 @@ class TestStateFiles:
         rho = random_density_matrix(3, np.random.default_rng(6))
         path = tmp_path / "state.json"
         save_json(state_to_dict(rho), path)
+        assert list(load_json(path)) == ["format_version", "kind", "dim", "matrix"]
         np.testing.assert_allclose(state_from_dict(load_json(path)), rho, atol=1e-15)
 
     def test_dim_mismatch(self):
@@ -209,6 +212,9 @@ class TestDilationFiles:
         dil = implementing_unitary(3, 2, 0.6, 0.8)
         path = tmp_path / "dilation.json"
         save_json(dilation_to_dict(dil), path)
+        assert list(load_json(path)) == [
+            "format_version", "kind", "d_in", "d_fin", "d_env", "unitary", "env_state",
+        ]
         loaded = dilation_from_dict(load_json(path))
         assert (loaded.d_in, loaded.d_fin, loaded.d_env) == (3, 2, 2)
         np.testing.assert_array_equal(loaded.unitary, dil.unitary)
@@ -216,6 +222,20 @@ class TestDilationFiles:
             distance(channel_from_dilation(loaded), channel_from_dilation(dil))
             < 1e-12
         )
+
+    def test_numpy_integer_sizes(self, tmp_path):
+        # Dilation accepts NumPy integer sizes; its file is the one written
+        # with Python ints, and it loads back.
+        dil = implementing_unitary(2, 2, 0.6, 0.8)
+        numpy_sized = replace(
+            dil, d_in=np.int64(dil.d_in), d_fin=np.int64(dil.d_fin), d_env=np.int64(dil.d_env)
+        )
+        python_path, numpy_path = tmp_path / "python.json", tmp_path / "numpy.json"
+        save_json(dilation_to_dict(dil), python_path)
+        save_json(dilation_to_dict(numpy_sized), numpy_path)
+        assert numpy_path.read_bytes() == python_path.read_bytes()
+        loaded = dilation_from_dict(load_json(numpy_path))
+        assert (loaded.d_in, loaded.d_fin, loaded.d_env) == (2, 2, 2)
 
     def test_missing_dims(self):
         data = dilation_to_dict(implementing_unitary(2, 2, 0.6, 0.8))
@@ -259,6 +279,13 @@ class TestDilationFiles:
         capsys.readouterr()
         assert main(["build", "from-dilation", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_failed_encoding_writes_no_file(tmp_path):
+    path = tmp_path / "set.json"
+    with pytest.raises(TypeError):
+        save_json({"x": {1, 2}}, path)
+    assert not path.exists()
 
 
 def test_load_rejects_non_object(tmp_path):
@@ -314,9 +341,11 @@ def test_boolean_entries_rejected(tmp_path, loader, payload, key):
         loader(load_json(path))
 
 
+# ±1e300 is left out: at library level Σ E†E and U·U† overflow with a
+# RuntimeWarning before the ValueError.
 FUZZ_VALUES = (
     None, True, False, 10**30, float("nan"), float("inf"), "x", "",
-    [], [[]], [[1.0, 0.0], [1.0]],
+    [], [[]], [[1.0, 0.0], [1.0]], 1e-300, -1e-300, 5e-324, -0.0,
 )
 
 
@@ -334,26 +363,29 @@ def _paths(node, prefix=()):
 
 
 @pytest.mark.parametrize(
-    "loader, payload",
+    "loader, writer, source",
     [
         (
-            channel_from_dict,
-            lambda: channel_to_dict(
-                random_channel(2, 2, np.random.default_rng(0), kraus_rank=2)
-            ),
+            channel_from_dict, channel_to_dict,
+            lambda: random_channel(2, 2, np.random.default_rng(0), kraus_rank=2),
         ),
-        (channel_from_dict, lambda: choi_to_dict(random_channel(2, 2, np.random.default_rng(0)))),
-        (state_from_dict, lambda: state_to_dict(random_density_matrix(2, np.random.default_rng(0)))),
-        (dilation_from_dict, lambda: dilation_to_dict(implementing_unitary(2, 2, 0.6, 0.8))),
+        (channel_from_dict, choi_to_dict, lambda: random_channel(2, 2, np.random.default_rng(0))),
+        (
+            state_from_dict, state_to_dict,
+            lambda: random_density_matrix(2, np.random.default_rng(0)),
+        ),
+        (dilation_from_dict, dilation_to_dict, lambda: implementing_unitary(2, 2, 0.6, 0.8)),
     ],
     ids=["kraus", "choi", "state", "dilation"],
 )
-def test_fuzzed_payload_loads_or_raises_value_error(loader, payload):
+def test_fuzzed_payload_loads_or_raises_value_error(loader, writer, source):
     # 500 payloads per file kind, each with one field or nested entry
     # deleted or replaced. The depth is drawn first, so top-level fields are
-    # hit as often as matrix entries.
+    # hit as often as matrix entries. An accepted payload goes back through
+    # its writer and loads again; no loader reads "kind", and only the Choi
+    # loader rebuilds its matrix, so the other files come back unchanged.
     rng = np.random.default_rng(31)
-    original = payload()
+    original = writer(source())
     loader(original)
     by_depth = {}
     for path in _paths(original):
@@ -373,8 +405,14 @@ def test_fuzzed_payload_loads_or_raises_value_error(loader, payload):
             edit = copy.deepcopy(FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))])
             node[path[-1]] = edit
         try:
-            loader(data)
+            loaded = loader(data)
         except ValueError:
             continue
         except Exception as exc:  # name the payload that broke the rule
             pytest.fail(f"{path} {edit!r}: {exc!r}")
+        rewritten = writer(loaded)
+        loader(rewritten)
+        if writer is not choi_to_dict:
+            del rewritten["kind"]
+            data.pop("kind", None)
+            assert rewritten == data, f"{path} {edit!r}"
