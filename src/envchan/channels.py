@@ -273,7 +273,8 @@ def random_channel(
     Raises:
         ValueError: "dimensions must be positive" unless d_in and d_out are
             integers ≥ 1; "kraus rank too small" if the rank is not an
-            integer or cannot give an isometry.
+            integer or cannot give an isometry; "kraus rank too large" if it
+            exceeds d_in·d_out, the largest Kraus rank of a channel.
     """
     _check_integers("dimensions must be positive", d_in, d_out)
     if kraus_rank is None:
@@ -281,6 +282,8 @@ def random_channel(
     _check_integers("kraus rank too small", kraus_rank)
     if d_out * kraus_rank < d_in:
         raise ValueError("kraus rank too small")
+    if kraus_rank > d_in * d_out:
+        raise ValueError("kraus rank too large")
     g = rng.normal(size=(d_out * kraus_rank, d_in)) + 1j * rng.normal(
         size=(d_out * kraus_rank, d_in)
     )

@@ -4,8 +4,10 @@ All files are UTF-8 JSON with ``format_version: 1``, from one encoder,
 ``_jsonable``: complex matrices become nested lists of ``[re, im]`` pairs,
 NumPy scalars Python numbers, and floats their shortest round-trip text, so
 re-reading is bit-exact. ``save_json`` writes a file only once it is encoded.
-Validation of loaded objects uses a looser tolerance (1e-8) than internal
-construction, to absorb decimal round-trips of files produced elsewhere.
+Each loader reads only its writers' ``kind``; a mislabelled file is
+malformed. Validation of loaded objects uses a looser tolerance (1e-8) than
+internal construction, to absorb decimal round-trips of files produced
+elsewhere.
 """
 
 from __future__ import annotations
@@ -67,13 +69,19 @@ def matrix_from_pairs(obj) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _check_version(data: dict) -> None:
+def _check_header(data: dict, *kinds: str) -> str:
+    """The file's ``kind``, after checking its version and that the kind
+    is one of ``kinds``, its writers' ("malformed file" if not)."""
     if not isinstance(data, dict):
         raise ValueError("malformed file")
     version = data.get("format_version")
     # 1.0 == 1 and true == 1, so the type is checked first.
     if not _is_integer(version) or version != FORMAT_VERSION:
         raise ValueError("unsupported format version")
+    kind = data.get("kind")
+    if kind not in kinds:
+        raise ValueError("malformed file")
+    return kind
 
 
 def _dimension(data: dict, key: str) -> int:
@@ -123,27 +131,27 @@ def choi_to_dict(ch: Channel) -> dict:
 
 def channel_from_dict(data: dict) -> Channel:
     """Load a channel from either representation, validating at file
-    tolerance.
+    tolerance: ``kraus`` of a "channel" file, ``choi`` of a "choi" file.
 
     Raises:
-        ValueError: "unsupported format version", "malformed file",
-            "malformed matrix", or a validation message from the
-            representation constructors.
+        ValueError: "unsupported format version", "malformed file" (a
+            ``kind`` other than those two included), "malformed matrix",
+            or a validation message from the representation constructors.
     """
-    _check_version(data)
+    kind = _check_header(data, "channel", "choi")
     d_in, d_out = _dimension(data, "d_in"), _dimension(data, "d_out")
-    if "kraus" in data:
-        ops = data["kraus"]
+    if kind == "channel":
+        ops = data.get("kraus")
         if not isinstance(ops, list) or not ops:
             raise ValueError("malformed file")
         operators = tuple(matrix_from_pairs(op) for op in ops)
         if any(op.shape != (d_out, d_in) for op in operators):
             raise ValueError("shape mismatch")
         return Channel(KrausSet(operators, atol=FILE))
-    if "choi" in data:
-        matrix = matrix_from_pairs(data["choi"])
-        return Channel.from_choi(ChoiMatrix(d_in, d_out, matrix, atol=FILE))
-    raise ValueError("malformed file")
+    if "choi" not in data:
+        raise ValueError("malformed file")
+    matrix = matrix_from_pairs(data["choi"])
+    return Channel.from_choi(ChoiMatrix(d_in, d_out, matrix, atol=FILE))
 
 
 def state_to_dict(rho) -> dict:
@@ -151,7 +159,7 @@ def state_to_dict(rho) -> dict:
 
 
 def state_from_dict(data: dict) -> np.ndarray:
-    _check_version(data)
+    _check_header(data, "state")
     matrix = matrix_from_pairs(data.get("matrix"))
     dim = _dimension(data, "dim")
     if matrix.shape != (dim, dim):
@@ -167,7 +175,7 @@ def dilation_to_dict(d: Dilation) -> dict:
 
 
 def dilation_from_dict(data: dict) -> Dilation:
-    _check_version(data)
+    _check_header(data, "dilation")
     return Dilation(
         d_in=_dimension(data, "d_in"),
         d_fin=_dimension(data, "d_fin"),

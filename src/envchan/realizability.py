@@ -16,10 +16,12 @@ I_d ⊗ diag(p), to zero by Levenberg–Marquardt (``minimize``, NumPy only),
 multi-restarted from seeded random isometries. Steps dW = [W, W⊥]·C are
 taken in a chart centred at W and retracted to polar(W + dW) (Absil,
 Mahony & Sepulchre 2008, ch. 4); F = W·E is linear in W, so the Jacobian
-is plain linear algebra. Every point costs one residual, which builds its
-state (Fm, V): the Kraus columns and the frame V = [W, W⊥] that the
-Jacobian, the curvature, the retraction and the decoding read; J is built at
-the start point and at accepted points that do not end the restart. Once
+is plain linear algebra: J is read from Fm†·K(V·T), K the Kraus-column
+layout and T = C·E the table of every C_q·E, built once per search. Every
+point costs one residual, which builds its state (Fm, V): the Kraus columns
+and the frame V = [W, W⊥] that the Jacobian, the curvature, the retraction
+and the decoding read; J is built at the start point and at accepted points
+that do not end the restart. Once
 ‖R‖² < 1e-2, each step adds half the geodesic acceleration along the
 retraction (Transtrum & Sethna 2012), so the iterates follow the curved
 valley around a zero residual instead of zigzagging across it, and a
@@ -119,7 +121,7 @@ def minimize(
     jac = jacobian(x, state, *args)
     cost, nfev, nit = float(r @ r), 1, 0
     mu, nu = 1e-3 * float((jac * jac).sum(axis=0).max()), 2.0
-    x_norm = float(np.linalg.norm(x))
+    x_norm = math.sqrt(np.vdot(x, x).real)
     converged = cost == 0
     while not converged and nit < maxiter:
         grad = jac.T @ r
@@ -146,7 +148,7 @@ def minimize(
         if rho > 0:
             converged = cost - trial_cost <= _DECREASE_STOP * cost
             x, r, state, cost = trial, trial_r, trial_state, trial_cost
-            x_norm = float(np.linalg.norm(x))
+            x_norm = math.sqrt(np.vdot(x, x).real)
             if not converged and nit < maxiter:
                 jac = jacobian(x, state, *args)
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
@@ -347,11 +349,12 @@ def _retract(w: np.ndarray, state, step: np.ndarray) -> np.ndarray:
     return _polar(w + _tangent(w, state[1], step))
 
 
-def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
+def _residual(w: np.ndarray, kraus: np.ndarray, table, d: int, dp: int):
     """(r, (Fm, V)): the residual r of R = G − I_d ⊗ diag(p) at the n×κ
     isometry w, and the point's state: G = Fm†Fm for Fm the Kraus set F =
     w·E (``kraus`` holds the rows vec(E_j)) in U's layout, p =
     ``_spectrum(G)``, and w's frame V = ``_frame(w)``, built only here.
+    ``table`` is J's (``_tangent_kraus``), unread here.
     ‖r‖² is zero exactly when Fm's columns, scaled by 1/√p_s, are
     orthonormal: then they are columns of a unitary that realizes the
     target with spectrum p."""
@@ -359,30 +362,39 @@ def _residual(w: np.ndarray, kraus: np.ndarray, d: int, dp: int):
     return _residual_vector(fm.conj().T @ fm, d, dp)[:, 0], (fm, _frame(w))
 
 
-def _objective_and_grad(w: np.ndarray, state, kraus: np.ndarray, d: int, dp: int):
+def _tangent_kraus(kraus: np.ndarray) -> np.ndarray:
+    """T = C·E: each C_q of ``_tangent_basis`` times the Kraus rows E
+    (``kraus``, κ × n), side by side (n × Qn, block q is C_q·E), so that
+    V·T_q are the Kraus rows of dF_q at any point with frame V. T depends
+    on the target alone; the search builds it once."""
+    kappa, n = kraus.shape
+    return (_tangent_basis(n, kappa).reshape(n, -1, kappa) @ kraus).reshape(n, -1)
+
+
+def _objective_and_grad(w: np.ndarray, state, kraus, table: np.ndarray, d: int, dp: int):
     """The exact Jacobian J of ``_residual`` at w, its derivative along each
     dW_q = V·C_q of ``_tangent_basis``, which is also its derivative
-    through ``_retract``; ``state`` is w's (Fm, V) from ``_residual``. J
-    only: ``minimize`` keeps r from ``_residual``. The name is kept because
-    the benchmark traces it."""
-    (n, kappa), (fm, v) = w.shape, state
-    # F = W·E is linear in W, so dF_q = V·C_q·E and dG_q = Fm†dFm_q + h.c.
-    # (V·[C_0 … C_{Q−1}]).reshape(nQ, κ)·E holds the Kraus rows (t, a, q) of
-    # every dF_q, q in the environment slot, so ``_kraus_columns`` lays them
-    # side by side in U's layout; one more product gives all of J's columns.
-    rows = _tangent_basis(n, kappa)
-    steps = (v @ rows).reshape(-1, kappa)
-    dfm = _kraus_columns(steps @ kraus, d, dp, rows.shape[1] // kappa)
-    h = 2.0 * fm.conj().T @ dfm.reshape(n, -1)
+    through ``_retract``; ``state`` is w's (Fm, V) from ``_residual`` and
+    ``table`` the target's T = ``_tangent_kraus(kraus)``, read in place of
+    ``kraus``. J only: ``minimize`` keeps r from ``_residual``. The name is
+    kept because the benchmark traces it."""
+    (fm, v), n = state, len(w)
+    # F = W·E is linear in W, so dF_q = V·C_q·E = V·T_q and dG_q = Fm†dFm_q
+    # + h.c. V·T, viewed as (nQ, n), holds the Kraus rows (t, a, q) of every
+    # dF_q, q in the environment slot, so ``_kraus_columns`` lays them side
+    # by side in U's layout; one more product gives all of J's columns.
+    dfm = _kraus_columns((v @ table).reshape(-1, n), d, dp, table.shape[1] // n)
+    h = fm.conj().T @ dfm.reshape(n, -1)
+    h *= 2.0
     return _residual_vector(h, d, dp)
 
 
 def _curvature(
-    w: np.ndarray, state, step: np.ndarray, kraus: np.ndarray, d: int, dp: int
+    w: np.ndarray, state, step: np.ndarray, kraus: np.ndarray, table, d: int, dp: int
 ) -> np.ndarray:
     """r_vv: the second derivative of ``_residual`` along the retraction
     curve t ↦ polar(W + tZ) at t = 0, for Z = ``_tangent`` along step and
-    ``state`` w's (Fm, V) from ``_residual``.
+    ``state`` w's (Fm, V) from ``_residual``; ``table`` is J's, unread.
 
     W†Z is anti-Hermitian, so (W + tZ)†(W + tZ) = I + t²Z†Z and the curve is
     W + tZ − (t²/2)·W·Z†Z + O(t³): W' = Z and W'' = −W·Z†Z. F = W·E is
@@ -449,6 +461,7 @@ def search_mixed_env_realization(
     """
     d, dp = target.d_in, target.d_out
     kraus = _minimal_kraus_rows(target)
+    table = _tangent_kraus(kraus)
 
     best, history = None, []
     for r in range(config.restarts):
@@ -457,7 +470,7 @@ def search_mixed_env_realization(
         res = minimize(
             _objective_and_grad,
             _polar(real + 1j * imag),
-            args=(kraus, d, dp),
+            args=(kraus, table, d, dp),
             residual=_residual,
             curvature=_curvature,
             retract=_retract,

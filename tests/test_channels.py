@@ -372,6 +372,12 @@ class TestRandomChannel:
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="rank too small"):
             random_channel(3, 2, rng, kraus_rank=1)
+        # A channel has Kraus rank at most d_in·d_out, the Choi matrix's size.
+        random_channel(2, 2, rng, kraus_rank=4)
+        with pytest.raises(ValueError, match="rank too large"):
+            random_channel(2, 2, rng, kraus_rank=9)
+        with pytest.raises(ValueError, match="rank too large"):
+            random_channel(3, 2, rng, kraus_rank=7)
 
     @pytest.mark.parametrize("dim", [2.0, True])
     def test_rejects_non_integer_dimensions(self, dim):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from envchan import (
+    Channel,
     ChoiMatrix,
     CounterexampleParams,
     Dilation,
@@ -93,6 +94,28 @@ class TestChannelFiles:
         with pytest.raises(ValueError, match="unsupported format version"):
             channel_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "writer, kind",
+        [
+            (channel_to_dict, "state"),
+            (channel_to_dict, "choi"),
+            (choi_to_dict, "channel"),
+            (choi_to_dict, "dilation"),
+            (channel_to_dict, None),
+            (choi_to_dict, ["choi"]),
+        ],
+    )
+    def test_only_its_writers_kind_loads(self, writer, kind):
+        # A Kraus file loads as "channel" and a Choi file as "choi"; any
+        # other kind, or none, is malformed, whatever the file holds.
+        data = writer(identity_channel(2))
+        channel_from_dict(data)
+        data["kind"] = kind
+        if kind is None:
+            del data["kind"]
+        with pytest.raises(ValueError, match="malformed file"):
+            channel_from_dict(data)
+
     def test_missing_representation(self):
         with pytest.raises(ValueError, match="malformed file"):
             channel_from_dict(
@@ -129,6 +152,15 @@ class TestStateFiles:
         save_json(state_to_dict(rho), path)
         assert list(load_json(path)) == ["format_version", "kind", "dim", "matrix"]
         np.testing.assert_allclose(state_from_dict(load_json(path)), rho, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["channel", "choi", "dilation", "report", None])
+    def test_only_its_writers_kind_loads(self, kind):
+        data = state_to_dict(np.eye(2) / 2)
+        data["kind"] = kind
+        if kind is None:
+            del data["kind"]
+        with pytest.raises(ValueError, match="malformed file"):
+            state_from_dict(data)
 
     def test_dim_mismatch(self):
         data = state_to_dict(np.eye(2) / 2)
@@ -236,6 +268,15 @@ class TestDilationFiles:
         assert numpy_path.read_bytes() == python_path.read_bytes()
         loaded = dilation_from_dict(load_json(numpy_path))
         assert (loaded.d_in, loaded.d_fin, loaded.d_env) == (2, 2, 2)
+
+    @pytest.mark.parametrize("kind", ["channel", "state", "Dilation", None])
+    def test_only_its_writers_kind_loads(self, kind):
+        data = dilation_to_dict(implementing_unitary(2, 2, 0.6, 0.8))
+        data["kind"] = kind
+        if kind is None:
+            del data["kind"]
+        with pytest.raises(ValueError, match="malformed file"):
+            dilation_from_dict(data)
 
     def test_missing_dims(self):
         data = dilation_to_dict(implementing_unitary(2, 2, 0.6, 0.8))
@@ -366,8 +407,9 @@ def _paths(node, prefix=()):
     "loader, writer, source",
     [
         (
+            # Dephasing: its Kraus operators' zero entries let tiny edits load.
             channel_from_dict, channel_to_dict,
-            lambda: random_channel(2, 2, np.random.default_rng(0), kraus_rank=2),
+            lambda: Channel.from_kraus(np.sqrt(0.5) * np.array([np.eye(2), np.diag([1, -1])])),
         ),
         (channel_from_dict, choi_to_dict, lambda: random_channel(2, 2, np.random.default_rng(0))),
         (
@@ -382,8 +424,8 @@ def test_fuzzed_payload_loads_or_raises_value_error(loader, writer, source):
     # 500 payloads per file kind, each with one field or nested entry
     # deleted or replaced. The depth is drawn first, so top-level fields are
     # hit as often as matrix entries. An accepted payload goes back through
-    # its writer and loads again; no loader reads "kind", and only the Choi
-    # loader rebuilds its matrix, so the other files come back unchanged.
+    # its writer and loads again; only the Choi loader rebuilds its matrix,
+    # so the other files, "kind" included, come back unchanged.
     rng = np.random.default_rng(31)
     original = writer(source())
     loader(original)
@@ -413,6 +455,4 @@ def test_fuzzed_payload_loads_or_raises_value_error(loader, writer, source):
         rewritten = writer(loaded)
         loader(rewritten)
         if writer is not choi_to_dict:
-            del rewritten["kind"]
-            data.pop("kind", None)
             assert rewritten == data, f"{path} {edit!r}"

@@ -41,6 +41,7 @@ from envchan.realizability import (
     _residual_vector,
     _retract,
     _tangent_basis,
+    _tangent_kraus,
     minimize,
 )
 from envchan.tolerances import ENV_SPECTRUM_CUTOFF
@@ -203,8 +204,9 @@ def check_residual_and_jacobian(w, kraus, d, dp, eps=1e-6):
     central differences of the independent r along the retraction; returns
     ‖r‖²."""
     n, kappa = w.shape
-    residual, state = _residual(w, kraus, d, dp)
-    jac = _objective_and_grad(w, state, kraus, d, dp)
+    table = _tangent_kraus(kraus)
+    residual, state = _residual(w, kraus, table, d, dp)
+    jac = _objective_and_grad(w, state, kraus, table, d, dp)
     expected = gram_residual(w, kraus, d, dp)
     np.testing.assert_allclose(residual, residual_entries(expected), atol=1e-12)
     norm = np.vdot(expected, expected).real
@@ -275,7 +277,8 @@ class TestGradient:
         for step in tangent_steps(w):
             dg = fm.conj().T @ u_columns(step @ kraus, d, dp)
             columns.append(residual_entries(centred(dg + dg.conj().T, d, dp)))
-        jac = _objective_and_grad(w, _residual(w, kraus, d, dp)[1], kraus, d, dp)
+        table = _tangent_kraus(kraus)
+        jac = _objective_and_grad(w, _residual(w, kraus, table, d, dp)[1], kraus, table, d, dp)
         np.testing.assert_allclose(jac, np.array(columns).T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, kappa", [(4, 4), (4, 2), (9, 3), (6, 1)])
@@ -421,13 +424,14 @@ class TestCurvature:
         kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
         w = random_isometry(n, kappa, rng)
         step = rng.normal(size=2 * n * kappa - kappa * kappa)
-        residual, state = _residual(w, kraus, d, dp)
+        table = _tangent_kraus(kraus)
+        residual, state = _residual(w, kraus, table, d, dp)
         fd = (
-            _residual(_retract(w, state, h * step), kraus, d, dp)[0]
+            _residual(_retract(w, state, h * step), kraus, table, d, dp)[0]
             - 2.0 * residual
-            + _residual(_retract(w, state, -h * step), kraus, d, dp)[0]
+            + _residual(_retract(w, state, -h * step), kraus, table, d, dp)[0]
         ) / (h * h)
-        curvature = _curvature(w, state, step, kraus, d, dp)
+        curvature = _curvature(w, state, step, kraus, table, d, dp)
         assert np.linalg.norm(curvature - fd) <= 1e-5 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("d, dp, kappa", [(2, 2, 4), (3, 2, 3), (4, 4, 16)])
@@ -442,7 +446,8 @@ class TestCurvature:
         kraus = rng.normal(size=(kappa, n)) + 1j * rng.normal(size=(kappa, n))
         w = random_isometry(n, kappa, rng)
         step = rng.normal(size=2 * n * kappa - kappa * kappa)
-        residual, state = _residual(w, kraus, d, dp)
+        table = _tangent_kraus(kraus)
+        residual, state = _residual(w, kraus, table, d, dp)
         fresh = (_kraus_columns(w @ kraus, d, dp), complete_unitary(w))
         assert np.array_equal(state[0], fresh[0])
         assert np.array_equal(state[1], fresh[1])
@@ -450,11 +455,12 @@ class TestCurvature:
             residual, _residual_vector(fresh[0].conj().T @ fresh[0], d, dp)[:, 0]
         )
         assert np.array_equal(
-            _objective_and_grad(w, state, kraus, d, dp),
-            _objective_and_grad(w, fresh, kraus, d, dp),
+            _objective_and_grad(w, state, kraus, table, d, dp),
+            _objective_and_grad(w, fresh, kraus, table, d, dp),
         )
         assert np.array_equal(
-            _curvature(w, state, step, kraus, d, dp), _curvature(w, fresh, step, kraus, d, dp)
+            _curvature(w, state, step, kraus, table, d, dp),
+            _curvature(w, fresh, step, kraus, table, d, dp),
         )
         assert np.array_equal(_retract(w, state, step), _retract(w, fresh, step))
 
@@ -468,8 +474,9 @@ class TestDecode:
         rng = np.random.default_rng([17, d, dp])
         spectrum = rng.dirichlet(np.ones(dp))
         target, kraus, w = realizable_point(d, dp, spectrum, rng)
-        residual, state = _residual(w, kraus, d, dp)
-        jac = _objective_and_grad(w, state, kraus, d, dp)
+        table = _tangent_kraus(kraus)
+        residual, state = _residual(w, kraus, table, d, dp)
+        jac = _objective_and_grad(w, state, kraus, table, d, dp)
         assert residual @ residual < 1e-26
         assert np.linalg.norm(jac.T @ residual) < 1e-12
         unitary, decoded = _decode_point(state[0], d, dp)
@@ -481,7 +488,7 @@ class TestDecode:
         # divide by zero, and the polar factor completes those columns.
         rng = np.random.default_rng(18)
         target, kraus, w = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
-        unitary, spectrum = _decode_point(_residual(w, kraus, 2, 2)[1][0], 2, 2)
+        unitary, spectrum = _decode_point(_residual(w, kraus, None, 2, 2)[1][0], 2, 2)
         assert spectrum[1] == 0.0
         dilation = Dilation(
             d_in=2,
@@ -500,7 +507,7 @@ class TestDecode:
         rng = np.random.default_rng(18)
         target, kraus, w = realizable_point(2, 2, np.array([1.0, 0.0]), rng)
         w[2:] = 1e-11 * (rng.normal(size=w[2:].shape) + 1j * rng.normal(size=w[2:].shape))
-        unitary, spectrum = _decode_point(_residual(w, kraus, 2, 2)[1][0], 2, 2)
+        unitary, spectrum = _decode_point(_residual(w, kraus, None, 2, 2)[1][0], 2, 2)
         assert 0.0 < spectrum[1] <= ENV_SPECTRUM_CUTOFF
         assert realization_residual(target, unitary, spectrum) < 1e-9
 
@@ -820,6 +827,28 @@ class TestSearch:
             search_mixed_env_realization(member, SearchConfig(restarts=2))
             assert calls["nfev"] > 0
             assert calls["frame"] == calls["nfev"]
+
+    def test_tangent_kraus_table_is_built_once_per_search(self, monkeypatch):
+        # T = C·E depends on the target alone: the search builds it once,
+        # before its restarts, and every J call reads that one table.
+        tables, calls = [], []
+        table, objective = realizability._tangent_kraus, realizability._objective_and_grad
+
+        def counted_table(*args):
+            tables.append(table(*args))
+            return tables[-1]
+
+        def counted_objective(w, state, kraus, read, *args):
+            calls.append(read is tables[-1])
+            return objective(w, state, kraus, read, *args)
+
+        monkeypatch.setattr(realizability, "_tangent_kraus", counted_table)
+        monkeypatch.setattr(realizability, "_objective_and_grad", counted_objective)
+        member = build_counterexample(CounterexampleParams(2, 2, np.diag([0.5, 0.5])))
+        result = search_mixed_env_realization(member, SearchConfig(restarts=3))
+        assert len(result.residual_history) == 3
+        assert len(tables) == 1
+        assert len(calls) > 3 and all(calls)
 
     def test_criterion_08_target_8_does_not_crawl(self, monkeypatch):
         # The ninth criterion-08 target sits in a curved valley near its
