@@ -10,15 +10,16 @@ where U acts on the joint space ordered [initial, final, environment] and
 auxiliary environment at all — the final system doubles as the environment —
 and is treated as a one-dimensional trivial factor internally.
 
-Which entry of U is which Kraus entry is stated once, in :func:`_kraus_rows`;
-the channel of a dilation gathers through it, and the Stinespring
-construction and the realization searcher scatter through its inverse
-:func:`_kraus_columns`.
+Which entry of U is which Kraus entry is stated once, as one flat index per
+shape and its inverse, both cached (:func:`_layout`): :func:`_kraus_rows`
+gathers a dilation's Kraus rows through the index, and :func:`_kraus_columns`
+lays Kraus rows out as U's columns through its inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,24 +91,35 @@ class SpectralComponent:
     channel: Channel
 
 
-def _kraus_rows(columns: np.ndarray, d_in: int, d_fin: int) -> np.ndarray:
-    """The dilation's Kraus layout, stated once: E_{t,a,b}[m, i] = ⟨a m b|U|i t⟩.
+@lru_cache(maxsize=None)
+def _layout(d_in: int, d_fin: int, d_env: int, count: int):
+    """The dilation's Kraus layout, stated once: E_{t,a,b}[m, i] = ⟨a m b|U|i t⟩,
+    as flat indices (rows, columns) for ``count`` rows (t, a, b) and ``d_env``
+    values of b (0 meaning one): rows[(t, a, b), (i, m)] indexes U's columns
+    (a, m, b; i, t), and columns is its inverse. Built once per shape, read-only."""
+    env = max(d_env, 1)
+    rows = np.arange(count * d_in * d_fin).reshape(d_in, d_fin, env, d_in, -1)
+    rows = rows.transpose(4, 0, 2, 3, 1).reshape(-1, d_in * d_fin)
+    columns = np.empty(rows.size, dtype=rows.dtype)
+    columns[rows.ravel()] = np.arange(rows.size)
+    rows.flags.writeable = columns.flags.writeable = False
+    return rows, columns.reshape(d_in * d_fin * env, -1)
 
-    ``columns`` holds U's columns for the inputs |i, t⟩ (input-major), with
-    rows ordered [initial a, final m, environment b]. Returns one row per
-    (t, a, b) holding vec(E_{t,a,b}) in the input-major convention of the
-    channels module. :func:`_kraus_columns` is its inverse.
-    """
-    t = columns.reshape(d_in, d_fin, -1, d_in, columns.shape[1] // d_in)
-    return t.transpose(4, 0, 2, 3, 1).reshape(-1, d_in * d_fin)
+
+def _kraus_rows(columns: np.ndarray, d_in: int, d_fin: int) -> np.ndarray:
+    """The Kraus rows vec(E_{t,a,b}), one per (t, a, b) and input-major as in the
+    channels module, of U's columns for the inputs |i, t⟩ (input-major; rows
+    [initial a, final m, environment b]): a fresh gather through :func:`_layout`."""
+    side = d_in * d_fin
+    layout = _layout(d_in, d_fin, len(columns) // side, columns.size // side)[0]
+    return columns.ravel()[layout]
 
 
 def _kraus_columns(rows: np.ndarray, d_in: int, d_fin: int, d_env: int = 0):
     """The inverse of :func:`_kraus_rows`, given the environment slot's length
     ``d_env`` (0 meaning absent, as in :class:`Dilation`): the Kraus rows
     (t, a, b) laid out as U's columns, one per input |i, t⟩."""
-    t = rows.reshape(-1, d_in, max(d_env, 1), d_in, d_fin)
-    return t.transpose(1, 4, 2, 3, 0).reshape(-1, d_in * len(t))
+    return rows.ravel()[_layout(d_in, d_fin, d_env, len(rows))[1]]
 
 
 def _env_components(d: Dilation):

@@ -381,8 +381,8 @@ def _objective_and_grad(w: np.ndarray, state, kraus, table: np.ndarray, d: int, 
     (fm, v), n = state, len(w)
     # F = W·E is linear in W, so dF_q = V·C_q·E = V·T_q and dG_q = Fm†dFm_q
     # + h.c. V·T, viewed as (nQ, n), holds the Kraus rows (t, a, q) of every
-    # dF_q, q in the environment slot, so ``_kraus_columns`` lays them side
-    # by side in U's layout; one more product gives all of J's columns.
+    # dF_q, q in the environment slot: ``_kraus_columns`` gathers them side by
+    # side in U's layout through one cached index; one more product gives J.
     dfm = _kraus_columns((v @ table).reshape(-1, n), d, dp, table.shape[1] // n)
     h = fm.conj().T @ dfm.reshape(n, -1)
     h *= 2.0

@@ -66,6 +66,8 @@ def validate_density_matrix(rho, *, atol: float = DENSITY_MATRIX) -> np.ndarray:
 def purity(rho) -> float:
     """tr(ρ²) — equals 1 exactly for pure states, 1/dim for maximally mixed."""
     m = as_complex_matrix(rho)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("shape mismatch")
     return float(np.real(np.trace(m @ m)))
 
 

@@ -1,6 +1,8 @@
 """Tests for unitary dilations: induced channels, Stinespring construction,
 and spectral decomposition of mixed environments."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from envchan import (
     stinespring_from_kraus,
 )
 from envchan.channels import _choi_from_vecs
-from envchan.dilation import _env_components, _kraus_columns, _kraus_rows
+from envchan.dilation import _env_components, _kraus_columns, _kraus_rows, _layout
 from envchan.linalg import eig_hermitian
 from envchan.tolerances import CHANNEL
 
@@ -31,6 +33,33 @@ def haar_unitary(n, rng):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def loop_rows(columns, d_in, d_fin, env):
+    # E_{t,a,b}[m, i] = ⟨a m b|U|i t⟩ entry by entry: row (t, a, b) holds
+    # vec(E_{t,a,b}) input-major, at (i, m); U's row (a, m, b), column (i, t).
+    inputs = columns.shape[1] // d_in
+    rows = np.zeros((inputs * d_in * env, d_in * d_fin), dtype=columns.dtype)
+    for t, a, b, m, i in itertools.product(
+        range(inputs), range(d_in), range(env), range(d_fin), range(d_in)
+    ):
+        rows[(t * d_in + a) * env + b, i * d_fin + m] = columns[
+            (a * d_fin + m) * env + b, i * inputs + t
+        ]
+    return rows
+
+
+def loop_columns(rows, d_in, d_fin, env):
+    # The same entries read the other way: U's columns from the Kraus rows.
+    inputs = len(rows) // (d_in * env)
+    columns = np.zeros((d_in * d_fin * env, d_in * inputs), dtype=rows.dtype)
+    for t, a, b, m, i in itertools.product(
+        range(inputs), range(d_in), range(env), range(d_fin), range(d_in)
+    ):
+        columns[(a * d_fin + m) * env + b, i * inputs + t] = rows[
+            (t * d_in + a) * env + b, i * d_fin + m
+        ]
+    return columns
 
 
 def swap_gate():
@@ -163,6 +192,51 @@ class TestKrausLayout:
         for q, kraus_set in enumerate(rows.reshape(n, count, n).transpose(1, 0, 2)):
             np.testing.assert_array_equal(blocks[:, q], _kraus_columns(kraus_set, d, dp))
         np.testing.assert_array_equal(_kraus_rows(stacked, d, dp), rows)
+
+    @pytest.mark.parametrize(
+        "d_in, d_fin, d_env, inputs",
+        [(1, 2, 0, 2), (1, 3, 2, 6), (2, 2, 0, 2), (3, 2, 0, 2), (2, 3, 4, 12), (3, 2, 2, 4),
+         (2, 2, 16, 2), (3, 2, 36, 2)],
+    )
+    def test_matches_the_explicit_loop(self, d_in, d_fin, d_env, inputs):
+        # Square U for inputs = d_fin·max(d_env, 1); inputs = d_fin with
+        # d_env = Q is the Jacobian's stack of Q Kraus sets ((2,2) with κ = 4
+        # has Q = 16, (3,2) with κ = 6 has Q = 36).
+        env = max(d_env, 1)
+        rng = np.random.default_rng([25, d_in, d_fin, d_env, inputs])
+        shape = (d_in * d_fin * env, d_in * inputs)
+        columns = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows = loop_rows(columns, d_in, d_fin, env)
+        assert np.array_equal(_kraus_rows(columns, d_in, d_fin), rows)
+        other = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+        assert np.array_equal(
+            _kraus_columns(other, d_in, d_fin, d_env), loop_columns(other, d_in, d_fin, env)
+        )
+
+    @pytest.mark.parametrize("d_in, d_fin, d_env", [(1, 2, 0), (2, 2, 0), (2, 3, 4)])
+    def test_index_is_cached_read_only_and_results_are_fresh(self, d_in, d_fin, d_env):
+        side = d_in * d_fin * max(d_env, 1)
+        rng = np.random.default_rng([26, d_in, d_fin, d_env])
+        u = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+        layout = _layout(d_in, d_fin, d_env, side * side // (d_in * d_fin))
+        assert _layout(d_in, d_fin, d_env, side * side // (d_in * d_fin)) is layout
+        for index in layout:
+            assert not index.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                index[0, 0] = 0
+        rows = _kraus_rows(u, d_in, d_fin)
+        columns = _kraus_columns(rows, d_in, d_fin, d_env)
+        # Each call returns a new writable array: stinespring_from_kraus
+        # writes into its columns, and a caller's write must not reach the
+        # input or a later call.
+        for out, source in ((rows, u), (columns, rows)):
+            assert out.flags.writeable and not np.shares_memory(out, source)
+        expected_rows, expected_columns = rows.copy(), columns.copy()
+        rows[:] = 0.0
+        columns[:] = 0.0
+        assert np.array_equal(_kraus_rows(u, d_in, d_fin), expected_rows)
+        assert np.array_equal(_kraus_columns(expected_rows, d_in, d_fin, d_env), expected_columns)
+        assert np.array_equal(expected_columns, u)
 
     @pytest.mark.parametrize(
         "d_in, d_fin, d_env", [(2, 2, 0), (3, 2, 0), (2, 3, 0), (4, 4, 0), (2, 2, 4)]

@@ -100,6 +100,16 @@ class TestPurity:
         assert is_pure(projector(basis_state(3, 2)))
         assert not is_pure(np.diag([0.999, 0.001]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
+    def test_purity_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            purity(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (1, 2)])
+    def test_is_pure_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            is_pure(np.ones(shape))
+
 
 class TestRandomStates:
     def test_random_pure_state(self):
