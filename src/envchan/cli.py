@@ -8,6 +8,9 @@ object that the library decides: the certificate of ``certify_channel``
 or the ``PerturbationReport``. ``main`` wraps it in a report envelope,
 whose fields ``io`` encodes. build, convert and apply return the file
 payload, params an integer. Errors go to standard error, one line each.
+Each command imports the modules it runs when it runs, so a command loads
+no module it does not use (``convert`` never loads the search, ``search``
+never loads the counterexample family).
 
 ``build counterexample`` and ``certify`` without a channel file take the
 family flags: --d, --d-fin and --rho-target, the comma-separated
@@ -25,7 +28,8 @@ Exit codes:
     5  search verdict UNDECIDED
 
 Randomized commands (build random, search, perturb) default to --seed 0 so
-reports are reproducible by re-running the echoed command.
+reports are reproducible by re-running the echoed command. Without
+--restarts or --max-iters, search and perturb take ``SearchConfig``'s.
 """
 
 from __future__ import annotations
@@ -35,38 +39,16 @@ import json
 import sys
 from dataclasses import is_dataclass
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import io
-from .channels import Channel, apply, random_channel
-from .counterexample import (
-    INCONCLUSIVE,
-    NOT_REALIZABLE,
-    CounterexampleParams,
-    NonRealizabilityCertificate,
-    build_counterexample,
-    certify_channel,
-    certify_nonrealizable,
-)
-from .dilation import channel_from_dilation
-from .linalg import is_unitary
-from .realizability import (
-    LIKELY_NOT_REALIZABLE,
-    REALIZED,
-    UNDECIDED,
-    PerturbationReport,
-    SearchConfig,
-    SearchResult,
-    parameter_count,
-    perturbation_experiment,
-    search_mixed_env_realization,
-)
 
-# Exit codes of the certificate claims and search verdicts, as in the
-# module docstring.
-_CERTIFY_EXIT_CODES = {NOT_REALIZABLE: 0, INCONCLUSIVE: 3}
-_SEARCH_EXIT_CODES = {REALIZED: 0, LIKELY_NOT_REALIZABLE: 4, UNDECIDED: 5}
+if TYPE_CHECKING:
+    from .channels import Channel
+    from .counterexample import CounterexampleParams, NonRealizabilityCertificate
+    from .realizability import PerturbationReport, SearchConfig, SearchResult
 
 
 def _counterexample_params(args) -> CounterexampleParams:
@@ -77,6 +59,9 @@ def _counterexample_params(args) -> CounterexampleParams:
     count is checked against --d-fin before ρ' is allocated;
     :class:`CounterexampleParams` checks the dimensions and ρ'.
     """
+    from .counterexample import CounterexampleParams
+    from .linalg import is_unitary
+
     if args.d is None or args.d_fin is None or args.rho_target is None:
         raise ValueError("--d, --d-fin and --rho-target are required")
     try:
@@ -95,7 +80,12 @@ def _counterexample_params(args) -> CounterexampleParams:
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(seed=args.seed, restarts=args.restarts, max_iters=args.max_iters)
+    """The search flags as a ``SearchConfig``; an unset flag takes its
+    field's default."""
+    from .realizability import SearchConfig
+
+    flags = {"restarts": args.restarts, "max_iters": args.max_iters}
+    return SearchConfig(seed=args.seed, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_channel(path: str) -> Channel:
@@ -104,16 +94,29 @@ def _load_channel(path: str) -> Channel:
 
 def cmd_build(args) -> tuple[dict, int]:
     if args.kind == "counterexample":
+        from .counterexample import build_counterexample
+
         channel = build_counterexample(_counterexample_params(args))
     elif args.kind == "random":
+        from .channels import random_channel
+
         rng = np.random.default_rng(args.seed)
         channel = random_channel(args.d, args.d_fin, rng, kraus_rank=args.kraus_rank)
     else:  # from-dilation
+        from .dilation import channel_from_dilation
+
         channel = channel_from_dilation(io.dilation_from_dict(io.load_json(args.dilation)))
     return io.channel_to_dict(channel), 0
 
 
 def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
+    from .counterexample import (
+        INCONCLUSIVE,
+        NOT_REALIZABLE,
+        certify_channel,
+        certify_nonrealizable,
+    )
+
     if args.channel is not None:
         family = (args.d, args.d_fin, args.rho_target, args.rho_basis)
         if any(flag is not None for flag in family):
@@ -121,12 +124,19 @@ def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
         certificate = certify_channel(_load_channel(args.channel))
     else:
         certificate = certify_nonrealizable(_counterexample_params(args))
-    return certificate, _CERTIFY_EXIT_CODES[certificate.claim]
+    return certificate, {NOT_REALIZABLE: 0, INCONCLUSIVE: 3}[certificate.claim]
 
 
 def cmd_search(args) -> tuple[SearchResult, int]:
+    from .realizability import (
+        LIKELY_NOT_REALIZABLE,
+        REALIZED,
+        UNDECIDED,
+        search_mixed_env_realization,
+    )
+
     result = search_mixed_env_realization(_load_channel(args.channel), _search_config(args))
-    return result, _SEARCH_EXIT_CODES[result.verdict]
+    return result, {REALIZED: 0, LIKELY_NOT_REALIZABLE: 4, UNDECIDED: 5}[result.verdict]
 
 
 def cmd_convert(args) -> tuple[dict, int]:
@@ -136,16 +146,22 @@ def cmd_convert(args) -> tuple[dict, int]:
 
 
 def cmd_apply(args) -> tuple[dict, int]:
+    from .channels import apply
+
     channel = _load_channel(args.channel)
     rho = io.state_from_dict(io.load_json(args.state))
     return io.state_to_dict(apply(channel, rho)), 0
 
 
 def cmd_params(args) -> tuple[int, int]:
+    from .realizability import parameter_count
+
     return parameter_count(args.d, args.d_fin), 0
 
 
 def cmd_perturb(args) -> tuple[PerturbationReport, int]:
+    from .realizability import perturbation_experiment
+
     report = perturbation_experiment(
         _load_channel(args.channel), args.radius, args.samples, _search_config(args)
     )
@@ -177,20 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_seed(p):
-        p.add_argument(
-            "--seed", type=int, default=SearchConfig.seed,
-            help="RNG seed (default %(default)s)",
-        )
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
 
     def add_search_flags(p):
         add_seed(p)
         p.add_argument(
-            "--restarts", type=int, default=SearchConfig.restarts,
-            help="search restarts (default %(default)s)",
+            "--restarts", type=int,
+            help="search restarts (default SearchConfig.restarts)",
         )
         p.add_argument(
-            "--max-iters", type=int, default=SearchConfig.max_iters,
-            help="optimizer iterations per restart (default %(default)s)",
+            "--max-iters", type=int,
+            help="optimizer iterations per restart (default SearchConfig.max_iters)",
         )
 
     build = sub.add_parser("build", help="construct a channel file")

@@ -503,6 +503,27 @@ def test_search_flag_defaults_are_search_config_defaults(argv):
     assert _search_config(build_parser().parse_args(argv)) == SearchConfig()
 
 
+def test_search_without_flags_is_the_default_search(capsys, identity_file):
+    # An unset --restarts or --max-iters takes SearchConfig's value, and the
+    # report still echoes the CLI's seed of 0.
+    code, data, _ = run_json(capsys, "search", identity_file)
+    explicit = ("--seed", "0", "--restarts", "50", "--max-iters", "2000")
+    code_explicit, data_explicit, _ = run_json(capsys, "search", identity_file, *explicit)
+    assert code == code_explicit == 0
+    assert data["seed"] == data_explicit["seed"] == 0
+    assert data["results"] == data_explicit["results"]
+
+
+@pytest.mark.parametrize("command", ["search", "perturb"])
+def test_search_help_names_search_config(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "(default SearchConfig.restarts)" in out
+    assert "(default SearchConfig.max_iters)" in out
+    assert "RNG seed (default 0)" in out
+
+
 class TestPerturb:
     def test_radius_validation(self, capsys, identity_file):
         for radius in ("1.5", "nan"):

@@ -3,6 +3,7 @@
 its decoding included), and the perturbation experiment."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1012,6 +1013,22 @@ class TestPerturbation:
         # first ones as they were, so one sample can be re-run alone.
         more = perturbation_experiment(center, 0.01, 3, config)
         assert (more.verdicts[:2], more.best_residuals[:2]) == (a.verdicts, a.best_residuals)
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 7, 8])
+    def test_median_is_numpys(self, monkeypatch, n_samples):
+        # The median is taken without np.median, which imports numpy.ma; it
+        # must still be np.median's value to the bit. Each sample's search
+        # is stubbed to return residuals spread over twelve decades.
+        rng = np.random.default_rng(n_samples)
+        residuals = iter(rng.random(n_samples) * 10.0 ** rng.uniform(-12, 0, n_samples))
+
+        def search(target, config):
+            return SimpleNamespace(verdict=REALIZED, best_residual=float(next(residuals)))
+
+        monkeypatch.setattr(realizability, "search_mixed_env_realization", search)
+        report = perturbation_experiment(identity_channel(2), 0.01, n_samples)
+        expected = float(np.median(report.best_residuals))
+        assert report.residual_median.hex() == expected.hex()
 
 
 PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
