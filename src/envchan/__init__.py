@@ -37,9 +37,10 @@ _EXPORTS = {
     ),
     "realizability": (
         "LIKELY_NOT_REALIZABLE", "NUMERICAL_EVIDENCE_NOTE", "REALIZED", "UNDECIDED",
-        "PerturbationReport", "SearchConfig", "SearchResult", "parameter_count",
-        "perturbation_experiment", "realization_residual", "search_mixed_env_realization",
+        "PerturbationReport", "SearchConfig", "SearchResult", "perturbation_experiment",
+        "realization_residual", "search_mixed_env_realization",
     ),
+    "sizes": ("parameter_count",),
     "states": (
         "basis_state", "is_pure", "maximally_mixed", "projector", "purity",
         "random_density_matrix", "random_pure_state", "validate_density_matrix",

@@ -19,9 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    _check_integers, _is_psd, _within, as_complex_matrix, eig_hermitian,
-    is_hermitian, partial_trace,
+    _is_psd, _within, as_complex_matrix, eig_hermitian, is_hermitian, partial_trace,
 )
+from .sizes import _check_integers
 from .tolerances import CHANNEL, DISTRIBUTION, EXTREMAL_RANK, KRAUS_RANK_CUTOFF
 
 

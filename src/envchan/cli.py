@@ -10,7 +10,9 @@ whose fields ``io`` encodes. build, convert and apply return the file
 payload, params an integer. Errors go to standard error, one line each.
 Each command imports the modules it runs when it runs, so a command loads
 no module it does not use (``convert`` never loads the search, ``search``
-never loads the counterexample family).
+never loads the counterexample family). ``params`` evaluates a closed-form
+integer and loads only ``sizes``: neither NumPy nor ``io``. Every other
+command runs with NumPy's overflow and invalid-value warnings off.
 
 ``build counterexample`` and ``certify`` without a channel file take the
 family flags: --d, --d-fin and --rho-target, the comma-separated
@@ -37,13 +39,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import is_dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
-
-import numpy as np
-
-from . import io
 
 if TYPE_CHECKING:
     from .channels import Channel
@@ -59,6 +56,9 @@ def _counterexample_params(args) -> CounterexampleParams:
     count is checked against --d-fin before ρ' is allocated;
     :class:`CounterexampleParams` checks the dimensions and ρ'.
     """
+    import numpy as np
+
+    from . import io
     from .counterexample import CounterexampleParams
     from .linalg import is_unitary
 
@@ -89,15 +89,39 @@ def _search_config(args) -> SearchConfig:
 
 
 def _load_channel(path: str) -> Channel:
+    from . import io
+
     return io.channel_from_dict(io.load_json(path))
 
 
+def _numpy_quiet(command):
+    """``command``, run with NumPy's overflow and invalid-value warnings off.
+
+    An input that overflows fails a validation check, which is the one
+    stderr line; the warnings would only add lines before it. Every command
+    but ``params``, which computes no array, runs this way.
+    """
+
+    def run(args):
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return command(args)
+
+    return run
+
+
+@_numpy_quiet
 def cmd_build(args) -> tuple[dict, int]:
+    from . import io
+
     if args.kind == "counterexample":
         from .counterexample import build_counterexample
 
         channel = build_counterexample(_counterexample_params(args))
     elif args.kind == "random":
+        import numpy as np
+
         from .channels import random_channel
 
         rng = np.random.default_rng(args.seed)
@@ -109,6 +133,7 @@ def cmd_build(args) -> tuple[dict, int]:
     return io.channel_to_dict(channel), 0
 
 
+@_numpy_quiet
 def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
     from .counterexample import (
         INCONCLUSIVE,
@@ -127,6 +152,7 @@ def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
     return certificate, {NOT_REALIZABLE: 0, INCONCLUSIVE: 3}[certificate.claim]
 
 
+@_numpy_quiet
 def cmd_search(args) -> tuple[SearchResult, int]:
     from .realizability import (
         LIKELY_NOT_REALIZABLE,
@@ -139,13 +165,18 @@ def cmd_search(args) -> tuple[SearchResult, int]:
     return result, {REALIZED: 0, LIKELY_NOT_REALIZABLE: 4, UNDECIDED: 5}[result.verdict]
 
 
+@_numpy_quiet
 def cmd_convert(args) -> tuple[dict, int]:
+    from . import io
+
     channel = _load_channel(args.input)
     payload = io.choi_to_dict(channel) if args.to == "choi" else io.channel_to_dict(channel)
     return payload, 0
 
 
+@_numpy_quiet
 def cmd_apply(args) -> tuple[dict, int]:
+    from . import io
     from .channels import apply
 
     channel = _load_channel(args.channel)
@@ -154,11 +185,12 @@ def cmd_apply(args) -> tuple[dict, int]:
 
 
 def cmd_params(args) -> tuple[int, int]:
-    from .realizability import parameter_count
+    from .sizes import parameter_count
 
     return parameter_count(args.d, args.d_fin), 0
 
 
+@_numpy_quiet
 def cmd_perturb(args) -> tuple[PerturbationReport, int]:
     from .realizability import perturbation_experiment
 
@@ -279,12 +311,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = perf_counter()
     try:
-        # An input that overflows fails a validation check, which is the one
-        # stderr line; NumPy's overflow and invalid-value warnings would only
-        # add lines before it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            payload, code = args.func(args)
-        if is_dataclass(payload):
+        payload, code = args.func(args)
+        # build, convert and apply return a file payload, params an integer;
+        # any other payload is a result object, written as a report.
+        if not isinstance(payload, (dict, int)):
+            from . import io
+
             payload = io._envelope(
                 "report", command=args.command, argv=list(argv),
                 seed=getattr(args, "seed", None),
@@ -292,6 +324,8 @@ def main(argv=None) -> int:
             )
         out = getattr(args, "out", None)
         if out is not None:
+            from . import io
+
             io.save_json(payload, out)
         else:
             sys.stdout.write(json.dumps(payload, indent=2) + "\n")

@@ -26,9 +26,8 @@ import numpy as np
 
 from .channels import Channel, _frozen_copy, apply, distance
 from .dilation import Dilation
-from .linalg import (
-    _check_integers, _is_integer, as_complex_matrix, complete_unitary, eig_hermitian,
-)
+from .linalg import as_complex_matrix, complete_unitary, eig_hermitian
+from .sizes import _check_integers, _is_integer
 from .states import basis_state, is_pure, projector, purity, validate_density_matrix
 from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
 

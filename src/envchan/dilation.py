@@ -24,9 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import Channel, ChoiMatrix, KrausSet, _choi_from_vecs, _frozen_copy, _vec
-from .linalg import (
-    _check_integers, as_complex_matrix, complete_unitary, eig_hermitian, is_unitary,
-)
+from .linalg import as_complex_matrix, complete_unitary, eig_hermitian, is_unitary
+from .sizes import _check_integers
 from .states import basis_state, projector, validate_density_matrix
 from .tolerances import CHANNEL, DENSITY_MATRIX, ENV_SPECTRUM_CUTOFF, UNITARY
 

@@ -7,7 +7,8 @@ re-reading is bit-exact. ``save_json`` writes a file only once it is encoded.
 Each loader reads only its writers' ``kind``; a mislabelled file is
 malformed. Validation of loaded objects uses a looser tolerance (1e-8) than
 internal construction, to absorb decimal round-trips of files produced
-elsewhere.
+elsewhere. ``dilation`` loads only when a dilation file is read, so a
+command that reads channels and states alone never loads it.
 """
 
 from __future__ import annotations
@@ -15,14 +16,17 @@ from __future__ import annotations
 import dataclasses
 import json
 from numbers import Real
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channels import Channel, ChoiMatrix, KrausSet
-from .dilation import Dilation
-from .linalg import _is_integer
+from .sizes import _is_integer
 from .states import validate_density_matrix
 from .tolerances import FILE
+
+if TYPE_CHECKING:
+    from .dilation import Dilation
 
 FORMAT_VERSION = 1
 
@@ -175,6 +179,8 @@ def dilation_to_dict(d: Dilation) -> dict:
 
 
 def dilation_from_dict(data: dict) -> Dilation:
+    from .dilation import Dilation
+
     _check_header(data, "dilation")
     return Dilation(
         d_in=_dimension(data, "d_in"),

@@ -1,7 +1,7 @@
 """Dense complex linear algebra helpers (partial traces, deterministic
 Hermitian eigendecompositions, unitary completion) and the one statement
-of each input rule: matrix shape, integer sizes, entrywise tolerance and
-the PSD floor.
+of each matrix input rule: matrix shape, entrywise tolerance and the PSD
+floor. The integer-size rule lives in ``sizes``, which needs no NumPy.
 
 All functions take and return plain numpy arrays. Composite subsystems are
 ordered [initial, final, environment] throughout the package.
@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from numbers import Integral
 
 import numpy as np
 
+from .sizes import _check_integers, _is_integer
 from .tolerances import HERMITIAN_INPUT, UNITARY
 
 
@@ -28,17 +28,6 @@ def as_complex_matrix(m, shape=None) -> np.ndarray:
     if shape is not None and a.shape != shape:
         raise ValueError("shape mismatch")
     return a
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, numpy's included; booleans are not."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def _check_integers(message: str, *values, least: int = 1) -> None:
-    """Raise ``ValueError(message)`` unless each value is an integer ≥ ``least``."""
-    if not all(_is_integer(v) and v >= least for v in values):
-        raise ValueError(message)
 
 
 def _within(a, b, atol: float) -> bool:

@@ -49,7 +49,8 @@ import numpy as np
 
 from .channels import Channel, _vec, choi_to_kraus, distance, mix, random_channel
 from .dilation import Dilation, _dilation_choi, _kraus_columns
-from .linalg import _check_integers, _frame, _is_integer
+from .linalg import _frame
+from .sizes import _check_integers, _is_integer
 from .tolerances import ENV_SPECTRUM_CUTOFF
 
 REALIZED = "REALIZED"
@@ -165,24 +166,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer")
     if value < 1:
         raise ValueError(f"{name} must be positive")
-
-
-def parameter_count(d: int, d_fin: int) -> int:
-    """Real parameters of the mixed-environment realization problem:
-    d²·(d_fin² − 1).
-
-    Counted as: spectrum degrees of freedom (d_fin − 1), minus the basis
-    freedom absorbed into U (d_fin − 1), plus the unitary group dimension
-    (d²·d_fin² − 1, up to global phase), minus redundancy on the traced-out
-    input factor (d² − 1). This is the problem's dimension, not the number
-    of reals the searcher optimizes over.
-
-    Raises:
-        ValueError: "dimensions must be positive" unless d and d_fin are
-            integers ≥ 1.
-    """
-    _check_integers("dimensions must be positive", d, d_fin)
-    return d * d * (d_fin * d_fin - 1)
 
 
 @dataclass(frozen=True)

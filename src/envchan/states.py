@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import _check_integers, _is_integer, _is_psd, as_complex_matrix, is_hermitian
+from .linalg import _is_psd, as_complex_matrix, is_hermitian
+from .sizes import _check_integers, _is_integer
 from .tolerances import DENSITY_MATRIX, PSD, PURE_PURITY_GAP, STATE_NORM
 
 

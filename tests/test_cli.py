@@ -735,9 +735,10 @@ class TestErrorPaths:
         assert "not trace preserving" in err
 
     def test_overflowing_input_gives_one_stderr_line(self, capsys, tmp_path, monkeypatch):
-        # main runs the command with overflow and invalid-value warnings off,
-        # so the overflow in the load neither warns (the test settings would
-        # make that an error) nor adds lines before the one error line.
+        # Every command but params runs with overflow and invalid-value
+        # warnings off, so the overflow in the load neither warns (the test
+        # settings would make that an error) nor adds lines before the one
+        # error line.
         monkeypatch.chdir(tmp_path)
         data = channel_to_dict(identity_channel(2))
         data["kraus"] = [matrix_to_pairs(1e200 * np.array([[1, 1], [1, 1j]]))]

@@ -3,8 +3,9 @@
 ``import envchan`` loads none of its modules: a public name is looked up in
 its home module on each access, never cached in the package. Each CLI
 command imports only the modules it runs, so a command's start-up pays for
-no module it does not use. The import pins run each command in a fresh
-interpreter, since this one has long loaded every module.
+no module it does not use; ``params`` loads no NumPy at all. The import
+pins run each command in a fresh interpreter, since this one has long
+loaded every module.
 """
 
 import importlib
@@ -62,22 +63,25 @@ class TestNamespace:
         assert "search_mixed_env_realization" not in vars(envchan)
 
 
-# Prints, as JSON, the exit code of ``main(argv)`` and every loaded module.
+# Runs ``main(argv)`` as the entry point does, then prints every loaded
+# module, as JSON on a last line of its own, and exits with main's code.
 PROBE = """
-import contextlib, io, json, sys
+import json, sys
 from envchan.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+code = main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
 """
 
 LEAN = {"envchan.realizability", "envchan.counterexample"}
+# Commands that read channels and states only.
+NO_DILATION = LEAN | {"envchan.dilation"}
 
 # (label, argv, exit code, modules the command must not load)
 COMMANDS = [
-    ("convert", ["convert", "family.json", "--to", "choi"], 0, LEAN),
-    ("apply", ["apply", "family.json", "state.json"], 0, LEAN),
-    ("build-random", ["build", "random", "--d", "2", "--d-fin", "2"], 0, LEAN),
+    ("convert", ["convert", "family.json", "--to", "choi"], 0, NO_DILATION),
+    ("apply", ["apply", "family.json", "state.json"], 0, NO_DILATION),
+    ("build-random", ["build", "random", "--d", "2", "--d-fin", "2"], 0, NO_DILATION),
     ("build-from-dilation", ["build", "from-dilation", "dilation.json"], 0, LEAN),
     ("certify-file", ["certify", "family.json"], 0, {"envchan.realizability"}),
     ("certify-flags", ["certify", "--d", "3", "--d-fin", "2", "--rho-target", "0.7,0.3"],
@@ -90,14 +94,21 @@ COMMANDS = [
 ]
 
 
-def fresh_python(*args, cwd):
+def fresh_python(*args, cwd, code=0):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    return proc
+
+
+def run_command(argv, cwd, code):
+    """A command's standard output lines, loaded modules and standard error."""
+    proc = fresh_python("-c", PROBE, *argv, cwd=cwd, code=code)
+    *output, modules = proc.stdout.splitlines()
+    return output, set(json.loads(modules)), proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +132,7 @@ def test_import_loads_no_submodule(tmp_path):
         "before = sorted(m for m in sys.modules if m.startswith('envchan.'))\n"
         "io = envchan.io\n"
         "print(json.dumps([before, io.__name__, sorted(sys.modules)]))"
-    ), cwd=tmp_path)
+    ), cwd=tmp_path).stdout
     before, io_name, after = json.loads(out)
     assert before == []
     # A submodule still resolves on first access, and loads what it imports.
@@ -134,8 +145,23 @@ def test_import_loads_no_submodule(tmp_path):
     "argv, code, unloaded", [c[1:] for c in COMMANDS], ids=[c[0] for c in COMMANDS]
 )
 def test_command_loads_only_what_it_runs(workdir, argv, code, unloaded):
-    result = json.loads(fresh_python("-c", PROBE, *argv, cwd=workdir))
-    assert result["code"] == code
-    modules = set(result["modules"])
+    _, modules, _ = run_command(argv, workdir, code)
     assert "envchan.cli" in modules
     assert not unloaded & modules
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr",
+    [
+        (["--d", "3", "--d-fin", "3"], 0, ["72"], []),
+        (["--d", "0", "--d-fin", "2"], 2, [], ["error: dimensions must be positive"]),
+    ],
+    ids=["count", "error"],
+)
+def test_params_loads_no_numpy(tmp_path, argv, code, stdout, stderr):
+    # The parameter count is a closed-form integer, computed by the standard
+    # library alone; a rejected size is still one error line.
+    output, modules, errors = run_command(["params", *argv], tmp_path, code)
+    assert (output, errors.splitlines()) == (stdout, stderr)
+    loaded = {m for m in modules if m.split(".")[0] in ("numpy", "envchan")}
+    assert loaded == {"envchan", "envchan.cli", "envchan.sizes"}
