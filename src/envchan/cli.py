@@ -11,8 +11,10 @@ payload, params an integer. Errors go to standard error, one line each.
 Each command imports the modules it runs when it runs, so a command loads
 no module it does not use (``convert`` never loads the search, ``search``
 never loads the counterexample family). ``params`` evaluates a closed-form
-integer and loads only ``sizes``: neither NumPy nor ``io``. Every other
-command runs with NumPy's overflow and invalid-value warnings off.
+integer and loads only ``sizes``: neither NumPy nor ``io``. Every command
+runs with NumPy's overflow and invalid-value warnings off (``params``
+computes no array, so there it changes nothing); divide-by-zero and other
+warnings still show.
 
 ``build counterexample`` and ``certify`` without a channel file take the
 family flags: --d, --d-fin and --rho-target, the comma-separated
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -94,24 +97,6 @@ def _load_channel(path: str) -> Channel:
     return io.channel_from_dict(io.load_json(path))
 
 
-def _numpy_quiet(command):
-    """``command``, run with NumPy's overflow and invalid-value warnings off.
-
-    An input that overflows fails a validation check, which is the one
-    stderr line; the warnings would only add lines before it. Every command
-    but ``params``, which computes no array, runs this way.
-    """
-
-    def run(args):
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            return command(args)
-
-    return run
-
-
-@_numpy_quiet
 def cmd_build(args) -> tuple[dict, int]:
     from . import io
 
@@ -133,7 +118,6 @@ def cmd_build(args) -> tuple[dict, int]:
     return io.channel_to_dict(channel), 0
 
 
-@_numpy_quiet
 def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
     from .counterexample import (
         INCONCLUSIVE,
@@ -152,7 +136,6 @@ def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
     return certificate, {NOT_REALIZABLE: 0, INCONCLUSIVE: 3}[certificate.claim]
 
 
-@_numpy_quiet
 def cmd_search(args) -> tuple[SearchResult, int]:
     from .realizability import (
         LIKELY_NOT_REALIZABLE,
@@ -165,7 +148,6 @@ def cmd_search(args) -> tuple[SearchResult, int]:
     return result, {REALIZED: 0, LIKELY_NOT_REALIZABLE: 4, UNDECIDED: 5}[result.verdict]
 
 
-@_numpy_quiet
 def cmd_convert(args) -> tuple[dict, int]:
     from . import io
 
@@ -174,7 +156,6 @@ def cmd_convert(args) -> tuple[dict, int]:
     return payload, 0
 
 
-@_numpy_quiet
 def cmd_apply(args) -> tuple[dict, int]:
     from . import io
     from .channels import apply
@@ -190,7 +171,6 @@ def cmd_params(args) -> tuple[int, int]:
     return parameter_count(args.d, args.d_fin), 0
 
 
-@_numpy_quiet
 def cmd_perturb(args) -> tuple[PerturbationReport, int]:
     from .realizability import perturbation_experiment
 
@@ -311,7 +291,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = perf_counter()
     try:
-        payload, code = args.func(args)
+        with warnings.catch_warnings():
+            # An input that overflows fails a validation check, which is the
+            # one stderr line; NumPy's warnings would only add lines before it.
+            warnings.filterwarnings(
+                "ignore", "(overflow|invalid value) encountered", RuntimeWarning
+            )
+            payload, code = args.func(args)
         # build, convert and apply return a file payload, params an integer;
         # any other payload is a result object, written as a report.
         if not isinstance(payload, (dict, int)):

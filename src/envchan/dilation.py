@@ -69,9 +69,8 @@ class Dilation:
         u = _frozen_copy(as_complex_matrix(self.unitary, (side, side)))
         if not is_unitary(u, max(self.atol, UNITARY)):
             raise ValueError("not unitary")
-        env = _frozen_copy(validate_density_matrix(self.env_state, atol=self.atol))
-        if env.shape != (self.env_side, self.env_side):
-            raise ValueError("shape mismatch")
+        env = as_complex_matrix(self.env_state, (self.env_side, self.env_side))
+        env = _frozen_copy(validate_density_matrix(env, atol=self.atol))
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "env_state", env)
 

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,19 @@ class TestBuild:
             CounterexampleParams(2, 2, np.diag([0.36, 0.64]))
         )
         assert distance(channel_from_dict(data), expected) < 1e-12
+
+    def test_from_dilation_checks_env_shape_first(self, capsys, tmp_path):
+        # A 3×3 env_state that is not Hermitian either: the shape is wrong
+        # for d_fin = 2, and that is what the one error line says.
+        from envchan import implementing_unitary
+        from envchan.io import dilation_to_dict
+
+        data = dilation_to_dict(implementing_unitary(2, 2, 0.6, 0.8))
+        data["env_state"] = matrix_to_pairs(np.array([[0.5, 1, 0], [0, 0.5, 0], [0, 0, 0]]))
+        dil_path = tmp_path / "dilation.json"
+        save_json(data, dil_path)
+        code, out, err = run(capsys, "build", "from-dilation", str(dil_path))
+        assert (code, out, err) == (2, "", "error: shape mismatch\n")
 
 
 class TestConvert:
@@ -735,16 +749,54 @@ class TestErrorPaths:
         assert "not trace preserving" in err
 
     def test_overflowing_input_gives_one_stderr_line(self, capsys, tmp_path, monkeypatch):
-        # Every command but params runs with overflow and invalid-value
-        # warnings off, so the overflow in the load neither warns (the test
-        # settings would make that an error) nor adds lines before the one
-        # error line.
+        # main runs every command with overflow and invalid-value warnings
+        # off, so an overflow in the input neither warns (the test settings
+        # would make that an error) nor adds lines before the one error line.
+        from envchan import Dilation
+        from envchan.io import dilation_to_dict
+
         monkeypatch.chdir(tmp_path)
         data = channel_to_dict(identity_channel(2))
         data["kraus"] = [matrix_to_pairs(1e200 * np.array([[1, 1], [1, 1j]]))]
         save_json(data, "huge.json")
-        code, out, err = run(capsys, "convert", "huge.json", "--to", "kraus")
-        assert (code, out, err) == (2, "", "error: not trace preserving\n")
+        save_json(state_to_dict(np.eye(2) / 2), "state.json")
+        dilation = dilation_to_dict(Dilation(2, 2, 0, np.eye(4), np.eye(2) / 2))
+        dilation["unitary"] = matrix_to_pairs(1e200 * np.eye(4))
+        save_json(dilation, "huge_dilation.json")
+        family = ["--d", "2", "--d-fin", "2", "--rho-target", "1e308,1e308"]
+        cases = [
+            (["convert", "huge.json", "--to", "kraus"], "not trace preserving"),
+            (["certify", "huge.json"], "not trace preserving"),
+            (["search", "huge.json"], "not trace preserving"),
+            (
+                ["perturb", "huge.json", "--radius", "0.01", "--samples", "1"],
+                "not trace preserving",
+            ),
+            (["apply", "huge.json", "state.json"], "not trace preserving"),
+            (["build", "from-dilation", "huge_dilation.json"], "not unitary"),
+            (["certify", *family], "not positive semidefinite"),
+            (["build", "counterexample", *family], "not positive semidefinite"),
+        ]
+        for command, message in cases:
+            code, out, err = run(capsys, *command)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+    def test_warning_filter_is_narrow(self, monkeypatch):
+        # Only overflow and invalid-value warnings are off: any other
+        # RuntimeWarning, divide by zero among them, reaches the test
+        # settings' error filter.
+        def divide(args):
+            warnings.warn("divide by zero encountered in divide", RuntimeWarning)
+            return 0, 0
+
+        monkeypatch.setattr("envchan.cli.cmd_params", divide)
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            main(["params", "--d", "2", "--d-fin", "2"])
+
+    def test_warning_filter_leaves_no_trace(self, capsys):
+        before = list(warnings.filters)
+        assert run(capsys, "params", "--d", "2", "--d-fin", "2") == (0, "12\n", "")
+        assert warnings.filters == before
 
     @pytest.mark.parametrize(
         "edit, message",

@@ -143,6 +143,9 @@ class TestChannelFromDilation:
             Dilation(2, 2, 0, np.eye(4), maximally_mixed(4))
         with pytest.raises(ValueError, match="shape mismatch"):
             Dilation(0, 2, 0, np.eye(2), maximally_mixed(2))
+        # Wrongly sized and not Hermitian: the shape is checked first.
+        with pytest.raises(ValueError, match="shape mismatch"):
+            Dilation(2, 2, 0, np.eye(4), [[0.5, 1, 0], [0, 0.5, 0], [0, 0, 0]])
 
     @pytest.mark.parametrize("dim", [2.0, True])
     def test_rejects_non_integer_dimensions(self, dim):
