@@ -24,9 +24,9 @@ _EXPORTS = {
         "Channel", "ChoiMatrix", "KrausSet", "apply", "choi_to_kraus", "distance",
         "identity_channel", "is_extremal", "kraus_to_choi", "mix", "random_channel",
     ),
+    "certificate": ("INCONCLUSIVE", "NOT_REALIZABLE", "NonRealizabilityCertificate"),
     "counterexample": (
-        "INCONCLUSIVE", "NOT_REALIZABLE", "CounterexampleParams",
-        "NonRealizabilityCertificate", "build_counterexample", "certify_channel",
+        "CounterexampleParams", "build_counterexample", "certify_channel",
         "certify_nonrealizable", "implementing_unitary", "match_family",
     ),
     "dilation": (

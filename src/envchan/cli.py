@@ -10,11 +10,13 @@ whose fields ``io`` encodes. build, convert and apply return the file
 payload, params an integer. Errors go to standard error, one line each.
 Each command imports the modules it runs when it runs, so a command loads
 no module it does not use (``convert`` never loads the search, ``search``
-never loads the counterexample family). ``params`` evaluates a closed-form
-integer and loads only ``sizes``: neither NumPy nor ``io``. Every command
-runs with NumPy's overflow and invalid-value warnings off (``params``
-computes no array, so there it changes nothing); divide-by-zero and other
-warnings still show.
+never loads the counterexample family). Two commands load no NumPy:
+``params``, a closed-form integer from ``sizes``, and ``certify`` from
+family flags without --rho-basis, whose ρ' = diag(--rho-target) goes to
+``certificate.certify_spectrum`` and whose report ``io`` writes without
+NumPy. Every command runs with NumPy's overflow and invalid-value warnings
+off (where no array is computed, that changes nothing); divide-by-zero and
+other warnings still show.
 
 ``build counterexample`` and ``certify`` without a channel file take the
 family flags: --d, --d-fin and --rho-target, the comma-separated
@@ -42,13 +44,25 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .channels import Channel
-    from .counterexample import CounterexampleParams, NonRealizabilityCertificate
+    from .certificate import NonRealizabilityCertificate
+    from .counterexample import CounterexampleParams
     from .realizability import PerturbationReport, SearchConfig, SearchResult
+
+
+def _eigenvalues(args) -> list:
+    """The --rho-target eigenvalues, once the family flags are all given."""
+    if args.d is None or args.d_fin is None or args.rho_target is None:
+        raise ValueError("--d, --d-fin and --rho-target are required")
+    try:
+        return [float(x) for x in args.rho_target.split(",")]
+    except ValueError as exc:
+        raise ValueError("cannot parse --rho-target eigenvalue list") from exc
 
 
 def _counterexample_params(args) -> CounterexampleParams:
@@ -65,12 +79,7 @@ def _counterexample_params(args) -> CounterexampleParams:
     from .counterexample import CounterexampleParams
     from .linalg import is_unitary
 
-    if args.d is None or args.d_fin is None or args.rho_target is None:
-        raise ValueError("--d, --d-fin and --rho-target are required")
-    try:
-        eigenvalues = [float(x) for x in args.rho_target.split(",")]
-    except ValueError as exc:
-        raise ValueError("cannot parse --rho-target eigenvalue list") from exc
+    eigenvalues = _eigenvalues(args)
     if len(eigenvalues) != args.d_fin:
         raise ValueError("shape mismatch")
     rho = np.diag(eigenvalues).astype(complex)
@@ -119,20 +128,23 @@ def cmd_build(args) -> tuple[dict, int]:
 
 
 def cmd_certify(args) -> tuple[NonRealizabilityCertificate, int]:
-    from .counterexample import (
-        INCONCLUSIVE,
-        NOT_REALIZABLE,
-        certify_channel,
-        certify_nonrealizable,
-    )
+    from .certificate import INCONCLUSIVE, NOT_REALIZABLE, certify_spectrum
 
     if args.channel is not None:
+        from .counterexample import certify_channel
+
         family = (args.d, args.d_fin, args.rho_target, args.rho_basis)
         if any(flag is not None for flag in family):
             raise ValueError("give a channel file or family flags, not both")
         certificate = certify_channel(_load_channel(args.channel))
-    else:
+    elif args.rho_basis is not None:
+        from .counterexample import certify_nonrealizable
+
         certificate = certify_nonrealizable(_counterexample_params(args))
+    else:
+        # ρ' = diag(--rho-target): the same checks and certificate as
+        # CounterexampleParams gives, without NumPy.
+        certificate = certify_spectrum(args.d, args.d_fin, _eigenvalues(args))
     return certificate, {NOT_REALIZABLE: 0, INCONCLUSIVE: 3}[certificate.claim]
 
 
@@ -284,6 +296,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _numpy_warnings_off():
+    """NumPy's overflow and invalid-value RuntimeWarnings off inside the block.
+
+    An input that overflows fails a validation check, which is the one
+    stderr line; NumPy's warnings would only add lines before it. Other
+    warnings, divide-by-zero among them, still show. Afterwards the caller's
+    filters are back, and any filter added inside the block stays: NumPy
+    installs its own when a command is the first to import it.
+    """
+    added = []
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "(overflow|invalid value) encountered", RuntimeWarning
+            )
+            quiet = warnings.filters[:]
+            try:
+                yield
+            finally:
+                added = [f for f in warnings.filters if f not in quiet]
+    finally:
+        for action, message, category, module, lineno in reversed(added):
+            warnings.filterwarnings(
+                action, getattr(message, "pattern", ""), category,
+                getattr(module, "pattern", ""), lineno,
+            )
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -291,12 +332,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = perf_counter()
     try:
-        with warnings.catch_warnings():
-            # An input that overflows fails a validation check, which is the
-            # one stderr line; NumPy's warnings would only add lines before it.
-            warnings.filterwarnings(
-                "ignore", "(overflow|invalid value) encountered", RuntimeWarning
-            )
+        with _numpy_warnings_off():
             payload, code = args.func(args)
         # build, convert and apply return a file payload, params an integer;
         # any other payload is a result object, written as a report.

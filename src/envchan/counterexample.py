@@ -24,15 +24,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .certificate import (
+    INCONCLUSIVE,
+    FamilyMembership,
+    NonRealizabilityCertificate,
+    _certificate,
+    _check_dimensions,
+    _check_image,
+)
 from .channels import Channel, _frozen_copy, apply, distance
 from .dilation import Dilation
 from .linalg import as_complex_matrix, complete_unitary, eig_hermitian
-from .sizes import _check_integers, _is_integer
-from .states import basis_state, is_pure, projector, purity, validate_density_matrix
-from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, OVERLAP, STATE_NORM
-
-NOT_REALIZABLE = "NOT_REALIZABLE"
-INCONCLUSIVE = "INCONCLUSIVE"
+from .sizes import _check_integers
+from .states import basis_state, projector, purity, validate_density_matrix
+from .tolerances import ENV_SPECTRUM_CUTOFF, FAMILY_MATCH, STATE_NORM
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +51,10 @@ class CounterexampleParams:
             matrix with purity < 1 − 1e-10; for d = 2 it must additionally
             satisfy ⟨0'|ρ'|0'⟩ > 1e-10.
 
-    These are the only checks of the family's preconditions; ``rho_target``
-    is stored as a read-only copy, so they hold for the object's lifetime.
+    These are the only checks of the family's preconditions on a matrix ρ';
+    the dimension, mixed-image and overlap rules are ``certificate``'s,
+    which ``certificate.certify_spectrum`` shares. ``rho_target`` is stored
+    as a read-only copy, so the checks hold for the object's lifetime.
 
     Raises:
         ValueError: "dimensions must be integers" or "dimensions must be at
@@ -62,19 +69,13 @@ class CounterexampleParams:
     rho_target: np.ndarray
 
     def __post_init__(self):
-        if not (_is_integer(self.d) and _is_integer(self.d_fin)):
-            raise ValueError("dimensions must be integers")
-        if self.d < 2 or self.d_fin < 2:
-            raise ValueError("dimensions must be at least 2")
+        _check_dimensions(self.d, self.d_fin)
         # The shape comes first: it is checked without the spectrum, whose
         # cost grows with the cube of the matrix size.
         rho = as_complex_matrix(self.rho_target, (self.d_fin, self.d_fin))
         rho = _frozen_copy(validate_density_matrix(rho))
         object.__setattr__(self, "rho_target", rho)
-        if is_pure(rho):
-            raise ValueError("target image must be mixed")
-        if self.d == 2 and self.overlap <= OVERLAP:
-            raise ValueError("d=2 requires overlap with |0'⟩")
+        _check_image(self.d, purity(rho), self.overlap)
 
     @property
     def overlap(self) -> float:
@@ -149,103 +150,19 @@ def implementing_unitary(d: int, d_fin: int, alpha: complex, beta: complex) -> D
     return Dilation(d_in=d, d_fin=d_fin, d_env=d_env, unitary=unitary, env_state=env_state)
 
 
-@dataclass(frozen=True, eq=False)
-class FamilyMembership:
-    """How a channel matched the family (see :func:`match_family`): the
-    Frobenius Choi distance to the rebuilt member, and ρ' in the basis whose
-    first vector is the common pure image."""
-
-    choi_distance: float
-    canonical_rho_target: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class NonRealizabilityCertificate:
-    """Outcome of the analytic argument, with an auditable narrative.
-
-    ``claim`` is NOT_REALIZABLE or, for a channel outside the family,
-    INCONCLUSIVE. A NOT_REALIZABLE ``excluded_ranks`` holds one
-    ``(rank, rule)`` pair for each initialization rank r = 1..d_fin, in rank
-    order, naming the deduction that excludes it: ``"decoherence"`` for
-    r = 1, ``"overlap"`` for r = 2 at d = 2, and ``"counting"`` (r(d−1) > d
-    orthonormal vectors in the d-dimensional initial space) otherwise; an
-    INCONCLUSIVE one has None. ``membership`` is set when the claim was
-    decided from a channel, not from family parameters.
-    """
-
-    claim: str
-    excluded_ranks: tuple | None
-    narrative: tuple
-    membership: FamilyMembership | None = None
-
-
 def certify_nonrealizable(p: CounterexampleParams) -> NonRealizabilityCertificate:
     """Prove that a family member admits no realization by a unitary on
     initial ⊗ final with the final system initialized in a fixed state.
 
-    The argument walks every possible rank r of the initialization:
-    r ≥ 2 dies by counting orthonormal vectors (r(d−1) > d) except the
-    r = 2, d = 2 case, which dies by the overlap condition; r = 1 (pure)
-    dies because total decoherence would force the mixed image to be pure.
-    Each deduction is recorded as one narrative line, and each excluded
-    rank as one ``(rank, rule)`` pair of ``excluded_ranks``.
-
-    ``p``'s constructor is the one check of the family's preconditions, and
-    its fields are read-only, so the claim is always NOT_REALIZABLE.
+    The argument excludes every rank of the initialization in turn (see
+    :class:`NonRealizabilityCertificate`). It needs only d, d_fin, the
+    purity of ρ' and ⟨0'|ρ'|0'⟩, so it is built in ``certificate``, where
+    ``certify_spectrum`` gives the same certificate from ρ''s eigenvalues
+    without NumPy. ``p``'s constructor is the one check of the family's
+    preconditions, and its fields are read-only, so the claim is always
+    NOT_REALIZABLE.
     """
-    d, d_fin = p.d, p.d_fin
-    target_purity = purity(p.rho_target)
-    steps = [
-        f"family channel: |i><i| -> |0'><0'| for i = 0..{d - 2}, "
-        f"|{d - 1}><{d - 1}| -> rho' with purity {target_purity:.12g} < 1, "
-        "and superpositions with |" + str(d - 1) + "> totally decohere",
-        "a candidate realization is a unitary on the initial (x) final space "
-        "with the final system initialized in a fixed state of some rank r",
-    ]
-    excluded = [(1, "decoherence")]
-    for r in range(2, d_fin + 1):
-        if d == 2 and r == 2:
-            overlap = p.overlap
-            steps.extend(
-                [
-                    "d = 2: counting is silent for a rank-2 initialization "
-                    "(2 vectors fit in a 2-dimensional space), so examine its "
-                    "structure directly",
-                    "a rank-2 initialization is p|0'><0'| + (1-p)|1'><1'| with "
-                    "0 < p < 1; sending |0><0| to the same pure state from both "
-                    "eigenvectors forces, up to relabeling, |0>|0'> -> |0>|0'> "
-                    "and |0>|1'> -> |1>|0'>",
-                    "unitarity then forces the images of |1>|0'> and |1>|1'> "
-                    "into the orthogonal complement, so the image of |1><1| "
-                    "has no |0'> component: <0'|image|0'> = 0",
-                    f"but the family requires <0'|rho'|0'> = {overlap:.12g} != 0 "
-                    "— contradiction, so no rank-2 initialization exists",
-                ]
-            )
-            excluded.append((r, "overlap"))
-            continue
-        required = r * (d - 1)
-        steps.append(
-            f"rank {r}: each initialization eigenvector must carry every "
-            f"collapsing basis state to the same pure output, forcing "
-            f"{r}*({d}-1) = {required} orthonormal vectors in the "
-            f"{d}-dimensional initial space: {required} > {d} — impossible"
-        )
-        excluded.append((r, "counting"))
-    steps.append(
-        f"rank 1: with a pure initialization, total decoherence forces the "
-        f"joint image of |{d - 1}>|0'> to have no component on the other "
-        f"initial basis states, so the image of |{d - 1}><{d - 1}| would be "
-        f"pure — contradicting purity(rho') = {target_purity:.12g} < 1"
-    )
-    steps.append(
-        "no initialization of any rank realizes the channel: NOT_REALIZABLE"
-    )
-    return NonRealizabilityCertificate(
-        claim=NOT_REALIZABLE,
-        excluded_ranks=tuple(excluded),
-        narrative=tuple(steps),
-    )
+    return _certificate(p.d, p.d_fin, purity(p.rho_target), p.overlap)
 
 
 def match_family(channel: Channel) -> tuple[CounterexampleParams, float] | None:

@@ -7,25 +7,26 @@ re-reading is bit-exact. ``save_json`` writes a file only once it is encoded.
 Each loader reads only its writers' ``kind``; a mislabelled file is
 malformed. Validation of loaded objects uses a looser tolerance (1e-8) than
 internal construction, to absorb decimal round-trips of files produced
-elsewhere. ``dilation`` loads only when a dilation file is read, so a
-command that reads channels and states alone never loads it.
+elsewhere. NumPy, ``channels`` and ``states`` load only in the functions
+that read or write matrices, and ``dilation`` only when a dilation file is
+read: a report envelope and ``save_json`` need the standard library alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from numbers import Real
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .channels import Channel, ChoiMatrix, KrausSet
 from .sizes import _is_integer
-from .states import validate_density_matrix
 from .tolerances import FILE
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from .channels import Channel
     from .dilation import Dilation
 
 FORMAT_VERSION = 1
@@ -33,6 +34,8 @@ FORMAT_VERSION = 1
 
 def matrix_to_pairs(m) -> list:
     """Encode a complex matrix as nested lists of [re, im] pairs."""
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
@@ -45,6 +48,8 @@ def matrix_from_pairs(obj) -> np.ndarray:
     Raises:
         ValueError: "malformed matrix" on any structural problem.
     """
+    import numpy as np
+
     if not isinstance(obj, list) or not obj:
         raise ValueError("malformed matrix")
     rows = []
@@ -109,6 +114,9 @@ def _jsonable(value):
         return {name: _jsonable(v) for name, v in items if v is not None}
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
+    np = sys.modules.get("numpy")
+    if np is None:  # no value is NumPy's until NumPy is loaded
+        return value
     if isinstance(value, np.ndarray):
         return matrix_to_pairs(value) if np.iscomplexobj(value) else value.tolist()
     if isinstance(value, np.generic):
@@ -142,6 +150,8 @@ def channel_from_dict(data: dict) -> Channel:
             ``kind`` other than those two included), "malformed matrix",
             or a validation message from the representation constructors.
     """
+    from .channels import Channel, ChoiMatrix, KrausSet
+
     kind = _check_header(data, "channel", "choi")
     d_in, d_out = _dimension(data, "d_in"), _dimension(data, "d_out")
     if kind == "channel":
@@ -159,10 +169,14 @@ def channel_from_dict(data: dict) -> Channel:
 
 
 def state_to_dict(rho) -> dict:
+    import numpy as np
+
     return _envelope("state", dim=len(rho), matrix=np.asarray(rho, dtype=complex))
 
 
 def state_from_dict(data: dict) -> np.ndarray:
+    from .states import validate_density_matrix
+
     _check_header(data, "state")
     matrix = matrix_from_pairs(data.get("matrix"))
     dim = _dimension(data, "dim")

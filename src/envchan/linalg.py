@@ -38,8 +38,14 @@ def _within(a, b, atol: float) -> bool:
 
 def _is_psd(m: np.ndarray, atol: float) -> bool:
     """Whether the Hermitian part of square ``m`` has no eigenvalue below
-    ``-atol``; a NaN spectrum never does, and an empty matrix always does."""
-    return bool(np.linalg.eigvalsh((m + m.conj().T) / 2).min(initial=0.0) >= -atol)
+    ``-atol``; a NaN spectrum never does, nor does one that LAPACK fails to
+    compute (finite entries whose sum overflows can cause either), and an
+    empty matrix always does."""
+    try:
+        spectrum = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(spectrum.min(initial=0.0) >= -atol)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT) -> bool:

@@ -764,6 +764,7 @@ class TestErrorPaths:
         dilation["unitary"] = matrix_to_pairs(1e200 * np.eye(4))
         save_json(dilation, "huge_dilation.json")
         family = ["--d", "2", "--d-fin", "2", "--rho-target", "1e308,1e308"]
+        family3 = ["--d", "2", "--d-fin", "3", "--rho-target", "1e308,1e308,0.1"]
         cases = [
             (["convert", "huge.json", "--to", "kraus"], "not trace preserving"),
             (["certify", "huge.json"], "not trace preserving"),
@@ -776,6 +777,9 @@ class TestErrorPaths:
             (["build", "from-dilation", "huge_dilation.json"], "not unitary"),
             (["certify", *family], "not positive semidefinite"),
             (["build", "counterexample", *family], "not positive semidefinite"),
+            # Three entries: LAPACK fails to converge rather than give NaN.
+            (["certify", *family3], "not positive semidefinite"),
+            (["build", "counterexample", *family3], "not positive semidefinite"),
         ]
         for command, message in cases:
             code, out, err = run(capsys, *command)

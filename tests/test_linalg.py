@@ -24,7 +24,7 @@ from envchan import (
     random_pure_state,
 )
 from envchan.channels import apply_from_choi
-from envchan.linalg import as_complex_matrix
+from envchan.linalg import _is_psd, as_complex_matrix
 from envchan.tolerances import CHANNEL, UNITARY
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -363,6 +363,16 @@ MISSHAPEN = {
 def test_rejects_mismatched_shapes(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "entries", [[1e308, 1e308], [1e308, 1e308, 0.1]], ids=["nan-spectrum", "no-convergence"]
+)
+def test_uncomputable_spectrum_is_not_psd(entries):
+    # Finite entries whose Hermitian part overflows: LAPACK returns NaN
+    # eigenvalues for the 2 × 2 and fails to converge on the 3 × 3.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not _is_psd(np.diag(entries).astype(complex), 1e-10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -3,9 +3,9 @@
 ``import envchan`` loads none of its modules: a public name is looked up in
 its home module on each access, never cached in the package. Each CLI
 command imports only the modules it runs, so a command's start-up pays for
-no module it does not use; ``params`` loads no NumPy at all. The import
-pins run each command in a fresh interpreter, since this one has long
-loaded every module.
+no module it does not use; ``params`` and ``certify`` from family flags
+load no NumPy at all. The import pins run each command in a fresh
+interpreter, since this one has long loaded every module.
 """
 
 import importlib
@@ -85,7 +85,7 @@ COMMANDS = [
     ("build-from-dilation", ["build", "from-dilation", "dilation.json"], 0, LEAN),
     ("certify-file", ["certify", "family.json"], 0, {"envchan.realizability"}),
     ("certify-flags", ["certify", "--d", "3", "--d-fin", "2", "--rho-target", "0.7,0.3"],
-     0, {"envchan.realizability"}),
+     0, LEAN | {"envchan.channels", "numpy"}),
     ("params", ["params", "--d", "2", "--d-fin", "2"], 0, {"envchan.counterexample"}),
     ("search", ["search", "random.json", "--restarts", "2"], 0, {"envchan.counterexample"}),
     # np.median and its kin import numpy.ma, about 12 ms in a fresh process.
@@ -130,13 +130,13 @@ def test_import_loads_no_submodule(tmp_path):
     out = fresh_python("-c", (
         "import json, sys, envchan\n"
         "before = sorted(m for m in sys.modules if m.startswith('envchan.'))\n"
-        "io = envchan.io\n"
-        "print(json.dumps([before, io.__name__, sorted(sys.modules)]))"
+        "module = envchan.counterexample\n"
+        "print(json.dumps([before, module.__name__, sorted(sys.modules)]))"
     ), cwd=tmp_path).stdout
-    before, io_name, after = json.loads(out)
+    before, name, after = json.loads(out)
     assert before == []
     # A submodule still resolves on first access, and loads what it imports.
-    assert io_name == "envchan.io"
+    assert name == "envchan.counterexample"
     assert "envchan.channels" in after
     assert "envchan.realizability" not in after
 
@@ -165,3 +165,46 @@ def test_params_loads_no_numpy(tmp_path, argv, code, stdout, stderr):
     assert (output, errors.splitlines()) == (stdout, stderr)
     loaded = {m for m in modules if m.split(".")[0] in ("numpy", "envchan")}
     assert loaded == {"envchan", "envchan.cli", "envchan.sizes"}
+
+
+# The envchan modules that import nothing beyond the standard library.
+STDLIB_ONLY = {
+    "envchan", "envchan.certificate", "envchan.cli", "envchan.io",
+    "envchan.sizes", "envchan.tolerances",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        (["--rho-target", "0.7,0.3", "--out", "report.json"], 0, []),
+        (["--rho-target", "1.1,-0.1"], 2, ["error: not positive semidefinite"]),
+    ],
+    ids=["report", "error"],
+)
+def test_certify_flags_loads_no_numpy(tmp_path, argv, code, stderr):
+    # The certificate of ρ' = diag(λ) needs d, d', purity and overlap, all
+    # computed by the standard library, and so is its report.
+    output, modules, errors = run_command(
+        ["certify", "--d", "3", "--d-fin", "2", *argv], tmp_path, code
+    )
+    assert (output, errors.splitlines()) == ([], stderr)
+    loaded = {m for m in modules if m.split(".")[0] in ("numpy", "envchan")}
+    assert "envchan.certificate" in loaded
+    assert loaded <= STDLIB_ONLY
+    if code == 0:
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["results"]["claim"] == "NOT_REALIZABLE"
+
+
+def test_first_numpy_import_keeps_numpys_warning_filters(tmp_path):
+    # NumPy installs warning filters when it is first imported. When a
+    # command run through main is that first import, they outlive main's
+    # own filter, for the caller's later imports of compiled extensions.
+    out = fresh_python("-c", (
+        "import json, warnings\n"
+        "from envchan.cli import main\n"
+        "assert main(['build', 'random', '--d', '2', '--d-fin', '2', '--out', 'r.json']) == 0\n"
+        "print(json.dumps([[f[0], getattr(f[1], 'pattern', None)] for f in warnings.filters]))"
+    ), cwd=tmp_path).stdout
+    assert ["ignore", "numpy.dtype size changed"] in json.loads(out)
